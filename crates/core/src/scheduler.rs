@@ -28,7 +28,7 @@ use sim_net::ContentionParams;
 use sim_platform::{presets, Strategy};
 use sim_sched::{
     lublin_burst_mix, simulate_burst, BurstJob, BurstPolicy, BurstSite, Discipline,
-    PlacementPolicy, PreemptSpec, PriceModel, SchedEngine,
+    PlacementPolicy, PreemptSpec, PriceModel,
 };
 use workloads::{Class, Kernel, Npb, Workload};
 
@@ -358,7 +358,6 @@ pub fn contended_sites(caps: Capacities) -> Vec<BurstSite> {
             placement: PlacementPolicy::RackAware,
             discipline: Discipline::Easy,
             contention: ContentionParams::for_fabric(&c.topology.inter),
-            engine: SchedEngine::SlotSet,
             price: PriceModel::for_platform(c),
             // Covers the contention cap (2.5) with headroom, like real
             // user walltime estimates do.

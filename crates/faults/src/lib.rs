@@ -381,7 +381,7 @@ pub enum RecoveryStrategy {
     Restart,
     /// Algorithm-based fault tolerance: on a detected corruption, roll the
     /// surviving ranks back to the last *verified* cut (the most recent
-    /// completed [`Op::Verify`] barrier) and replay — no relaunch, no
+    /// completed `sim_mpi::Op::Verify` barrier) and replay — no relaunch, no
     /// checkpoint read. Fatal faults still restart.
     AbftRollback,
     /// ULFM-style shrink-and-spare: a corrupted or preempted rank is

@@ -12,8 +12,8 @@ pub struct SchedJobRow {
     pub id: usize,
     pub name: String,
     /// Job class for attribution: "batch", "resv" (advance reservation),
-    /// "mold" (moldable), "dep" (dependency-gated), "p<N>" (project-billed),
-    /// or "home"/"cloud" for multi-site rows.
+    /// "mold" (moldable), "dep" (dependency-gated) or `"p<N>"`
+    /// (project-billed).
     pub kind: String,
     pub nodes: usize,
     /// Seconds between submission and (final) start.
@@ -42,7 +42,7 @@ pub struct SchedEventRow {
     pub job: Option<usize>,
 }
 
-/// A batch-level report over one site's (or one multi-site run's) jobs.
+/// A batch-level report over one site's jobs.
 #[derive(Debug, Clone)]
 pub struct SchedReport {
     pub site: String,

@@ -5,10 +5,10 @@
 //! discipline threaded a `&[JobView]` slice alongside — fine for a few
 //! thousand jobs, wrong for a million: the resident set scaled with trace
 //! length even though only queued + running jobs are ever touched. The
-//! arena collapses all of it into one record per *admitted* job. The batch
-//! driver admits everything up front (ids == input indices, bit-identical
-//! to the old layout); the streaming driver admits jobs as they arrive and
-//! retires each record once its outcome is reported, recycling slots
+//! arena collapses all of it into one record per *admitted* job. A batch
+//! run admits everything up front (ids == input indices, bit-identical to
+//! the old layout); a streaming run admits jobs as they arrive and retires
+//! each record once its outcome is reported, recycling slots
 //! through a free list so memory tracks the number of live jobs, not the
 //! trace length. [`JobArena::peak_live`] is the flat-memory witness the
 //! scaling tests pin.
@@ -19,6 +19,8 @@ use std::ops::{Index, IndexMut};
 /// Everything the scheduler tracks about one admitted job.
 #[derive(Debug, Clone)]
 pub(crate) struct JobRec {
+    /// The caller's job id, reported in the job's outcome.
+    pub id: usize,
     pub view: JobView,
     /// Accounting project for per-project quotas; `None` is unmetered.
     pub project: Option<u32>,
@@ -27,7 +29,8 @@ pub(crate) struct JobRec {
     /// Departed — what dependents gate on. Outlives the queue/running
     /// membership of the job itself.
     pub departed: bool,
-    /// First-quoted reservation (None = never quoted); head-delay oracle.
+    /// First-quoted reservation (None = never quoted): a start after it
+    /// is a head delay.
     pub reserved: Option<f64>,
     /// Current conservative reservation. Persistent: only moves earlier.
     pub resv: Option<f64>,
@@ -38,8 +41,9 @@ pub(crate) struct JobRec {
 }
 
 impl JobRec {
-    pub fn new(view: JobView) -> JobRec {
+    pub fn new(id: usize, view: JobView) -> JobRec {
         JobRec {
+            id,
             view,
             project: None,
             deps: Vec::new(),
@@ -139,13 +143,13 @@ mod tests {
     #[test]
     fn slots_recycle_and_peak_tracks_live() {
         let mut a = JobArena::default();
-        let i0 = a.insert(JobRec::new(view()));
-        let i1 = a.insert(JobRec::new(view()));
+        let i0 = a.insert(JobRec::new(0, view()));
+        let i1 = a.insert(JobRec::new(0, view()));
         assert_eq!((i0, i1), (0, 1));
         assert_eq!(a.peak_live(), 2);
         a.retire(i0);
         assert_eq!(a.live(), 1);
-        let i2 = a.insert(JobRec::new(view()));
+        let i2 = a.insert(JobRec::new(0, view()));
         assert_eq!(i2, i0, "freed slot reused before growth");
         assert_eq!(a.peak_live(), 2, "peak is a high-water mark");
         assert_eq!(a.iter().count(), 2);

@@ -13,19 +13,19 @@
 //! intervals) and the job requeues at the back of the home partition —
 //! the conservative recovery, since the home site can always run it. The
 //! wait clock keeps running from the original submission.
+//!
+//! The sites run on the same event loop as a single site
+//! (the `driver` module): burst admission is the job source, and the sink
+//! prices each departure and turns each revocation into a home requeue.
 
-use crate::arena::JobRec;
+use crate::driver::{self, Arrivals, JobSource, OutcomeSink};
 use crate::error::SchedError;
+use crate::job::SchedJob;
 use crate::pool::{NodePool, PlacementPolicy};
 use crate::pricing::PriceModel;
-use crate::site::{Departure, Discipline, JobView, SchedEngine, SiteState};
-use sim_des::{DetRng, EventQueue, SimTime};
+use crate::site::{validate_job, validate_times, Discipline, JobOutcome, SiteConfig, SiteState};
+use sim_des::SimTime;
 use sim_net::ContentionParams;
-
-/// RNG stream tag for spot-preemption draws. Matches the historical
-/// single-queue implementation so preemption realisations are preserved
-/// across the port.
-const PREEMPT_STREAM: u64 = 0x9EE2_0000;
 
 /// One schedulable site.
 #[derive(Debug, Clone)]
@@ -37,10 +37,6 @@ pub struct BurstSite {
     pub placement: PlacementPolicy,
     pub discipline: Discipline,
     pub contention: ContentionParams,
-    /// Which scheduling core runs this site's queue (see
-    /// [`crate::site::SchedEngine`]). Both give identical schedules on the
-    /// capabilities they share; the legacy engine is kept as an oracle.
-    pub engine: SchedEngine,
     pub price: PriceModel,
     /// Walltime estimate as a multiple of nominal runtime. Must cover the
     /// contention cap when `contention` is active (jobs are killed at
@@ -61,11 +57,20 @@ impl BurstSite {
             placement: PlacementPolicy::Packed,
             discipline: Discipline::Fcfs,
             contention: ContentionParams::NONE,
-            engine: SchedEngine::SlotSet,
             price,
             walltime_factor: 1.0,
             preempt_per_node_hour: 0.0,
         }
+    }
+
+    /// The site as a single-site scheduler configuration.
+    fn config(&self) -> SiteConfig {
+        SiteConfig::new(
+            NodePool::new(self.nodes, self.rack_size),
+            self.placement,
+            self.discipline,
+            self.contention,
+        )
     }
 }
 
@@ -81,6 +86,26 @@ pub struct BurstJob {
     pub comm_fraction: f64,
     /// Profiled cloud-friendliness in `[0, 1]`.
     pub friendliness: f64,
+}
+
+impl BurstJob {
+    /// The job as site `s` schedules it: that site's runtime, and a
+    /// walltime of the runtime times the site's walltime factor.
+    fn on_site(&self, s: usize, site: &BurstSite) -> SchedJob {
+        SchedJob {
+            id: self.id,
+            name: String::new(),
+            nodes: self.nodes,
+            submit: self.submit,
+            runtime: self.runtime[s],
+            walltime: self.runtime[s] * site.walltime_factor,
+            comm_fraction: self.comm_fraction,
+            project: None,
+            deps: Vec::new(),
+            shapes: Vec::new(),
+            start_at: None,
+        }
+    }
 }
 
 /// Where bursting is allowed and on what terms.
@@ -152,7 +177,157 @@ pub struct BurstStats {
     pub head_delay_violations: usize,
 }
 
+/// Reject what a burst run cannot schedule, through the same checks as
+/// site inputs: no home site, a site without nodes or with a non-finite
+/// walltime factor or revocation rate, a runtime vector that does not
+/// name every site, bad per-site times, or a job the home site can never
+/// hold. A job too wide for a cloud site simply never bursts there.
+fn validate(jobs: &[BurstJob], sites: &[BurstSite]) -> Result<(), SchedError> {
+    let Some(home) = sites.first() else {
+        return Err(SchedError::InvalidConfig {
+            reason: "a burst run needs at least the home site".to_string(),
+        });
+    };
+    for s in sites {
+        let bad = |what: String| {
+            Err(SchedError::InvalidConfig {
+                reason: format!("site {}: {what}", s.name),
+            })
+        };
+        if s.nodes == 0 || s.rack_size == 0 {
+            return bad(format!("{} nodes in racks of {}", s.nodes, s.rack_size));
+        }
+        if !s.walltime_factor.is_finite() || s.walltime_factor <= 0.0 {
+            return bad(format!("walltime factor {}", s.walltime_factor));
+        }
+        if !s.preempt_per_node_hour.is_finite() || s.preempt_per_node_hour < 0.0 {
+            return bad(format!("revocation rate {}", s.preempt_per_node_hour));
+        }
+    }
+    let home_cfg = home.config();
+    for (i, j) in jobs.iter().enumerate() {
+        if j.runtime.len() != sites.len() {
+            return Err(SchedError::InvalidJob {
+                job: i,
+                reason: format!("{} runtimes for {} sites", j.runtime.len(), sites.len()),
+            });
+        }
+        validate_job(i, &j.on_site(0, home), &home_cfg)?;
+        for (s, site) in sites.iter().enumerate().skip(1) {
+            validate_times(i, &j.on_site(s, site))?;
+        }
+    }
+    Ok(())
+}
+
+/// Burst admission as the job source: each arrival goes to the home site
+/// unless the home partition cannot start it right now, it is
+/// cloud-friendly enough, and an idle cloud site can (within budget) —
+/// then to the cloud site with the best predicted runtime.
+struct Admission<'a> {
+    jobs: &'a [BurstJob],
+    sites: &'a [BurstSite],
+    policy: BurstPolicy,
+    arrivals: Arrivals,
+    bursts: usize,
+}
+
+impl Admission<'_> {
+    fn site_for(&mut self, j: &BurstJob, states: &[SiteState]) -> usize {
+        let (threshold, max_dollars) = match self.policy {
+            BurstPolicy::HpcOnly => return 0,
+            BurstPolicy::CloudBurst { threshold } => (threshold, f64::INFINITY),
+            BurstPolicy::CostAwareBurst {
+                threshold,
+                max_dollars,
+            } => (threshold, max_dollars),
+        };
+        let home_busy = states[0].pool.free_count() < j.nodes || !states[0].queue.is_empty();
+        let mut best: Option<usize> = None;
+        if home_busy && j.friendliness >= threshold {
+            for (cand, st) in states.iter().enumerate().skip(1) {
+                if st.pool.free_count() >= j.nodes && st.queue.is_empty() {
+                    let cost = self.sites[cand].price.spot_cost(j.nodes, j.runtime[cand]);
+                    if cost <= max_dollars && best.is_none_or(|b| j.runtime[cand] < j.runtime[b]) {
+                        best = Some(cand);
+                    }
+                }
+            }
+        }
+        self.bursts += usize::from(best.is_some());
+        best.unwrap_or(0)
+    }
+}
+
+impl JobSource for Admission<'_> {
+    fn peek(&self) -> Option<SimTime> {
+        self.arrivals.peek()
+    }
+
+    fn admit(&mut self, now: f64, states: &mut [SiteState]) -> Result<usize, SchedError> {
+        let i = self.arrivals.take();
+        let jobs = self.jobs;
+        let site = self.site_for(&jobs[i], states);
+        states[site].advance(now);
+        states[site].submit(i);
+        Ok(site)
+    }
+}
+
+/// Prices each final departure on the site it ran on, and turns each spot
+/// revocation into a home-site requeue for the unfinished work.
+struct Billing<'a> {
+    jobs: &'a [BurstJob],
+    sites: &'a [BurstSite],
+    checkpoint: Option<CheckpointSpec>,
+    out: Vec<Option<BurstOutcome>>,
+    preempt_loss: Vec<f64>,
+    preemptions: usize,
+}
+
+impl OutcomeSink for Billing<'_> {
+    fn depart(&mut self, site: usize, st: &mut SiteState, job: usize, o: JobOutcome) {
+        let elapsed = o.end - o.start;
+        self.out[job] = Some(BurstOutcome {
+            id: o.id,
+            site,
+            wait: o.wait,
+            runtime: st.jobs[job].view.runtime,
+            inflation: o.inflation,
+            preempt_loss: self.preempt_loss[job],
+            cost: self.sites[site].price.spot_cost(o.nodes, elapsed),
+            completed: o.completed,
+        });
+    }
+
+    fn preempt(&mut self, states: &mut [SiteState], site: usize, job: usize, remaining: f64) {
+        self.preemptions += 1;
+        let nominal = states[site].jobs[job].view.runtime;
+        let done = (nominal - remaining).max(0.0);
+        let retained = self.checkpoint.map_or(0.0, |ck| ck.retained(done));
+        self.preempt_loss[job] += done - retained;
+        // Requeue on the home partition for the unfinished fraction (plus
+        // the restore cost, if any work was salvaged).
+        let frac_left = if nominal > 0.0 {
+            1.0 - retained / nominal
+        } else {
+            0.0
+        };
+        let restore = if retained > 0.0 {
+            self.checkpoint.map_or(0.0, |ck| ck.restore_cost)
+        } else {
+            0.0
+        };
+        let home_nominal = self.jobs[job].runtime[0] * frac_left + restore;
+        let view = &mut states[0].jobs[job].view;
+        view.runtime = home_nominal;
+        view.walltime = home_nominal * self.sites[0].walltime_factor;
+    }
+}
+
 /// Simulate a job stream over `sites` under `policy`. Deterministic.
+/// Malformed jobs and sites are typed errors (see the validation above),
+/// never a panic or a run that cannot end.
 pub fn simulate_burst(
     jobs: &[BurstJob],
     sites: &[BurstSite],
@@ -160,15 +335,7 @@ pub fn simulate_burst(
     preempt: Option<PreemptSpec>,
     checkpoint: Option<CheckpointSpec>,
 ) -> Result<BurstStats, SchedError> {
-    assert!(!sites.is_empty(), "need at least the home site");
-    for j in jobs {
-        assert_eq!(j.runtime.len(), sites.len(), "job {} runtimes", j.id);
-    }
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Submit(usize),
-        Wake { site: usize, gen: u64 },
-    }
+    validate(jobs, sites)?;
     // Each site's arena holds a per-site view of every job (site-specific
     // runtimes/walltimes); requeues after a preemption rewrite the
     // home-site view.
@@ -176,210 +343,34 @@ pub fn simulate_burst(
         .iter()
         .enumerate()
         .map(|(s, site)| {
-            let mut st = SiteState::new(
-                NodePool::new(site.nodes, site.rack_size),
-                site.placement,
-                site.discipline,
-                site.contention,
-                site.engine,
-            );
+            let (mut st, _) = driver::configure(&site.config());
             for j in jobs {
-                st.jobs.insert(JobRec::new(JobView {
-                    nodes: j.nodes,
-                    runtime: j.runtime[s],
-                    walltime: j.runtime[s] * site.walltime_factor,
-                    comm_fraction: j.comm_fraction,
-                    submit: j.submit,
-                }));
+                st.admit(&j.on_site(s, site));
+            }
+            if let Some(p) = preempt.filter(|_| s > 0 && site.preempt_per_node_hour > 0.0) {
+                st.spot = Some((site.preempt_per_node_hour, p.seed));
             }
             st
         })
         .collect();
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, j) in jobs.iter().enumerate() {
-        q.push(SimTime::from_secs_f64(j.submit), Ev::Submit(i));
-    }
-    let mut out: Vec<Option<BurstOutcome>> = vec![None; jobs.len()];
-    let mut preempt_loss = vec![0.0f64; jobs.len()];
-    let mut bursts = 0usize;
-    let mut preemptions = 0usize;
-
-    // One scheduling pass on a site at `now`: departures, preemptions,
-    // starts (arming spot timers), rate recompute, wake rescheduling.
-    // Returns jobs to requeue on the home site.
-    let step = |site: usize,
-                now: f64,
-                states: &mut Vec<SiteState>,
-                out: &mut Vec<Option<BurstOutcome>>,
-                preempt_loss: &mut Vec<f64>,
-                preemptions: &mut usize,
-                q: &mut EventQueue<Ev>|
-     -> Result<Vec<usize>, SchedError> {
-        // Spot revocations first: a preempted run never completes
-        // (matching the historical model, where a drawn preemption
-        // replaced the completion event outright).
-        let mut requeue = Vec::new();
-        for (job, _start, remaining) in states[site].take_preempted(now) {
-            *preemptions += 1;
-            let nominal = states[site].jobs[job].view.runtime;
-            let done = (nominal - remaining).max(0.0);
-            let retained = checkpoint.map_or(0.0, |ck| ck.retained(done));
-            preempt_loss[job] += done - retained;
-            // Requeue on the home partition for the unfinished fraction
-            // (plus the restore cost, if any work was salvaged).
-            let frac_left = if nominal > 0.0 {
-                1.0 - retained / nominal
-            } else {
-                0.0
-            };
-            let home_nominal = jobs[job].runtime[0] * frac_left
-                + if retained > 0.0 {
-                    checkpoint.map_or(0.0, |ck| ck.restore_cost)
-                } else {
-                    0.0
-                };
-            states[0].jobs[job].view.runtime = home_nominal;
-            states[0].jobs[job].view.walltime = home_nominal * sites[0].walltime_factor;
-            out[job] = None;
-            requeue.push(job);
-        }
-        let st = &mut states[site];
-        for dep in st.departures(now) {
-            let (job, start, end, completed) = match dep {
-                Departure::Completed {
-                    job, start, end, ..
-                } => (job, start, end, true),
-                Departure::Killed {
-                    job, start, end, ..
-                } => (job, start, end, false),
-            };
-            let nominal = st.jobs[job].view.runtime;
-            let elapsed = end - start;
-            out[job] = Some(BurstOutcome {
-                id: jobs[job].id,
-                site,
-                wait: (start - jobs[job].submit).max(0.0),
-                runtime: nominal,
-                inflation: (elapsed - nominal).max(0.0),
-                preempt_loss: preempt_loss[job],
-                cost: sites[site].price.spot_cost(jobs[job].nodes, elapsed),
-                completed,
-            });
-        }
-        st.started.clear();
-        st.try_start(now)?;
-        let started = std::mem::take(&mut st.started);
-        for &(job, start, _wait) in &started {
-            // Revocable capacity: draw the instance's time-to-preempt; if
-            // it fires before the nominal runtime, the run dies mid-flight.
-            let rate = sites[site].preempt_per_node_hour;
-            if site != 0 && rate > 0.0 {
-                if let Some(p) = preempt {
-                    let mut rng = DetRng::new(p.seed, PREEMPT_STREAM ^ job as u64);
-                    let mean = 3600.0 / (rate * jobs[job].nodes as f64);
-                    let t = rng.exponential(mean);
-                    if t < st.jobs[job].view.runtime {
-                        st.set_preempt_at(job, start + t);
-                    }
-                }
-            }
-        }
-        st.recompute_rates();
-        st.wake_gen += 1;
-        if let Some(te) = st.next_event() {
-            q.push(
-                SimTime::from_secs_f64(te.max(now)),
-                Ev::Wake {
-                    site,
-                    gen: st.wake_gen,
-                },
-            );
-        }
-        Ok(requeue)
+    let mut source = Admission {
+        jobs,
+        sites,
+        policy,
+        arrivals: Arrivals::new(jobs.iter().map(|j| j.submit)),
+        bursts: 0,
     };
-
-    while let Some((t, ev)) = q.pop() {
-        let now = t.as_secs_f64();
-        let site = match ev {
-            Ev::Submit(i) => {
-                let j = &jobs[i];
-                let mut site = 0usize;
-                let burst_params = match policy {
-                    BurstPolicy::HpcOnly => None,
-                    BurstPolicy::CloudBurst { threshold } => Some((threshold, f64::INFINITY)),
-                    BurstPolicy::CostAwareBurst {
-                        threshold,
-                        max_dollars,
-                    } => Some((threshold, max_dollars)),
-                };
-                if let Some((threshold, max_dollars)) = burst_params {
-                    // Burst only when the home partition can't start the
-                    // job right now and an idle cloud site can.
-                    let home_busy =
-                        states[0].pool.free_count() < j.nodes || !states[0].queue.is_empty();
-                    if home_busy && j.friendliness >= threshold {
-                        let mut best: Option<usize> = None;
-                        for cand in 1..sites.len() {
-                            if states[cand].pool.free_count() >= j.nodes
-                                && states[cand].queue.is_empty()
-                            {
-                                let cost = sites[cand].price.spot_cost(j.nodes, j.runtime[cand]);
-                                if cost > max_dollars {
-                                    continue;
-                                }
-                                let better =
-                                    best.map(|b| j.runtime[cand] < j.runtime[b]).unwrap_or(true);
-                                if better {
-                                    best = Some(cand);
-                                }
-                            }
-                        }
-                        if let Some(b) = best {
-                            site = b;
-                            bursts += 1;
-                        }
-                    }
-                }
-                states[site].advance(now);
-                states[site].queue.push_back(i);
-                site
-            }
-            Ev::Wake { site, gen } => {
-                if gen != states[site].wake_gen {
-                    continue;
-                }
-                states[site].advance(now);
-                site
-            }
-        };
-        let requeue = step(
-            site,
-            now,
-            &mut states,
-            &mut out,
-            &mut preempt_loss,
-            &mut preemptions,
-            &mut q,
-        )?;
-        if !requeue.is_empty() {
-            states[0].advance(now);
-            for job in requeue {
-                states[0].queue.push_back(job);
-            }
-            let more = step(
-                0,
-                now,
-                &mut states,
-                &mut out,
-                &mut preempt_loss,
-                &mut preemptions,
-                &mut q,
-            )?;
-            debug_assert!(more.is_empty(), "home partition is non-revocable");
-        }
-    }
-
-    let jobs_out: Vec<BurstOutcome> = out
+    let mut sink = Billing {
+        jobs,
+        sites,
+        checkpoint,
+        out: vec![None; jobs.len()],
+        preempt_loss: vec![0.0; jobs.len()],
+        preemptions: 0,
+    };
+    driver::run(&mut states, Vec::new(), &mut source, &mut sink)?;
+    let jobs_out: Vec<BurstOutcome> = sink
+        .out
         .into_iter()
         .map(|o| o.expect("every job completes"))
         .collect();
@@ -387,8 +378,8 @@ pub fn simulate_burst(
     Ok(BurstStats {
         mean_wait: jobs_out.iter().map(|s| s.wait).sum::<f64>() / n,
         mean_turnaround: jobs_out.iter().map(|s| s.wait + s.runtime).sum::<f64>() / n,
-        burst_fraction: bursts as f64 / n,
-        preemptions,
+        burst_fraction: source.bursts as f64 / n,
+        preemptions: sink.preemptions,
         total_cost: jobs_out.iter().map(|s| s.cost).sum(),
         head_delay_violations: states.iter().map(|s| s.head_delay_violations).sum(),
         jobs: jobs_out,
@@ -496,26 +487,53 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_a_seeded_burst_mix() {
-        // The slot-set and legacy cores must burst identically: same
-        // relocations, same preemption realisations, same outcomes.
-        let jobs = crate::job::lublin_burst_mix(60, 8, 1.3, 21, &[(1.05, 0.9), (1.10, 1.3)]);
-        let policy = BurstPolicy::CloudBurst { threshold: 0.5 };
-        let p = Some(PreemptSpec { seed: 5 });
-        let mut spot = sites();
-        spot[2].preempt_per_node_hour = 2.0;
-        let slot = simulate_burst(&jobs, &spot, policy, p, None).unwrap();
-        let mut legacy_sites = spot.clone();
-        for s in &mut legacy_sites {
-            s.engine = SchedEngine::LegacyFreeNode;
-        }
-        let legacy = simulate_burst(&jobs, &legacy_sites, policy, p, None).unwrap();
-        assert_eq!(slot.preemptions, legacy.preemptions);
-        assert_eq!(slot.burst_fraction, legacy.burst_fraction);
-        for (a, b) in slot.jobs.iter().zip(&legacy.jobs) {
-            assert_eq!(a.site, b.site, "job {}", a.id);
-            assert_eq!(a.wait, b.wait, "job {}", a.id);
-            assert_eq!(a.runtime, b.runtime, "job {}", a.id);
+    fn an_empty_site_list_is_a_config_error() {
+        let r = simulate_burst(&quick_jobs(), &[], BurstPolicy::HpcOnly, None, None);
+        assert!(matches!(r, Err(SchedError::InvalidConfig { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn a_runtime_per_site_is_required() {
+        let mut jobs = quick_jobs();
+        jobs[3].runtime.pop();
+        let r = simulate_burst(&jobs, &sites(), BurstPolicy::HpcOnly, None, None);
+        assert!(
+            matches!(r, Err(SchedError::InvalidJob { job: 3, .. })),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn a_job_wider_than_home_is_rejected() {
+        let mut jobs = quick_jobs();
+        jobs[5].nodes = 9;
+        let r = simulate_burst(
+            &jobs,
+            &sites(),
+            BurstPolicy::CloudBurst { threshold: 0.5 },
+            None,
+            None,
+        );
+        assert_eq!(
+            r.unwrap_err(),
+            SchedError::InsufficientNodes {
+                job: 5,
+                need: 9,
+                limit: 8
+            }
+        );
+    }
+
+    #[test]
+    fn a_nan_runtime_is_rejected_instead_of_spinning() {
+        for site in 0..3 {
+            let mut jobs = quick_jobs();
+            jobs[2].runtime[site] = f64::NAN;
+            let r = simulate_burst(&jobs, &sites(), BurstPolicy::HpcOnly, None, None);
+            assert!(
+                matches!(r, Err(SchedError::InvalidJob { job: 2, .. })),
+                "site {site}: {r:?}"
+            );
         }
     }
 }

@@ -1,9 +1,7 @@
-//! Typed scheduler errors. The historical engine panicked with
-//! `expect("fit was checked")` when a placement policy could not satisfy a
-//! request that raw capacity admitted (fragmentation under a strict
-//! policy); every such condition now surfaces as a [`SchedError`] so
-//! multi-site drivers can report which job, which need and which policy
-//! failed instead of aborting the process.
+//! Typed scheduler errors: every malformed input and every allocation a
+//! placement policy cannot satisfy surfaces as a [`SchedError`], so
+//! drivers can report which job, which need and which policy failed
+//! instead of aborting the process.
 
 use std::fmt;
 
@@ -33,11 +31,8 @@ pub enum SchedError {
     /// reservation before submission, ...).
     InvalidJob { job: usize, reason: String },
     /// A malformed site configuration (inverted maintenance window,
-    /// zero-node quota, ...).
+    /// zero-node quota, no burst home site, ...).
     InvalidConfig { reason: String },
-    /// The legacy free-node engine was asked for a capability only the
-    /// slot-set engine implements.
-    LegacyEngineUnsupported { feature: &'static str },
 }
 
 impl fmt::Display for SchedError {
@@ -64,9 +59,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::InvalidJob { job, reason } => write!(f, "job {job}: {reason}"),
             SchedError::InvalidConfig { reason } => write!(f, "site config: {reason}"),
-            SchedError::LegacyEngineUnsupported { feature } => {
-                write!(f, "the legacy free-node engine does not support {feature}")
-            }
         }
     }
 }

@@ -209,7 +209,9 @@ impl ExactSizeIterator for LublinMix {}
 ///
 /// This is *the* shared constructor behind every contended sweep
 /// (`contended_mix` in the driver crate and the burst tests draw from it),
-/// so the two can never drift apart on RNG order or coefficients.
+/// so the two can never drift apart on RNG order or coefficients. The lift
+/// is a pure per-job map over [`LublinMix`], so it matches
+/// [`lublin_mix`] job by job.
 pub fn lublin_burst_mix(
     n_jobs: usize,
     pool_nodes: usize,
@@ -217,62 +219,27 @@ pub fn lublin_burst_mix(
     seed: u64,
     cloud_slowdowns: &[(f64, f64)],
 ) -> Vec<BurstJob> {
-    LublinBurstMix::new(n_jobs, pool_nodes, load, seed, cloud_slowdowns).collect()
-}
-
-/// Streaming form of [`lublin_burst_mix`]: the [`LublinMix`] source lifted
-/// job-by-job to multi-site [`BurstJob`]s. The lift is a pure per-job map,
-/// so the stream is bit-identical to the batch vector by construction.
-#[derive(Debug, Clone)]
-pub struct LublinBurstMix {
-    inner: LublinMix,
-    cloud_slowdowns: Vec<(f64, f64)>,
-}
-
-impl LublinBurstMix {
-    pub fn new(
-        n_jobs: usize,
-        pool_nodes: usize,
-        load: f64,
-        seed: u64,
-        cloud_slowdowns: &[(f64, f64)],
-    ) -> LublinBurstMix {
-        LublinBurstMix {
-            inner: LublinMix::new(n_jobs, pool_nodes, load, seed),
-            cloud_slowdowns: cloud_slowdowns.to_vec(),
-        }
-    }
-}
-
-impl Iterator for LublinBurstMix {
-    type Item = BurstJob;
-
-    fn next(&mut self) -> Option<BurstJob> {
-        let j = self.inner.next()?;
-        let cf = j.comm_fraction;
-        let mut runtime = vec![j.runtime];
-        runtime.extend(
-            self.cloud_slowdowns
-                .iter()
-                .map(|&(base, per_cf)| j.runtime * (base + per_cf * cf)),
-        );
-        Some(BurstJob {
-            id: j.id,
-            name: j.name,
-            nodes: j.nodes,
-            submit: j.submit,
-            runtime,
-            comm_fraction: cf,
-            friendliness: (1.0 - cf).clamp(0.0, 1.0),
+    LublinMix::new(n_jobs, pool_nodes, load, seed)
+        .map(|j| {
+            let cf = j.comm_fraction;
+            let mut runtime = vec![j.runtime];
+            runtime.extend(
+                cloud_slowdowns
+                    .iter()
+                    .map(|&(base, per_cf)| j.runtime * (base + per_cf * cf)),
+            );
+            BurstJob {
+                id: j.id,
+                name: j.name,
+                nodes: j.nodes,
+                submit: j.submit,
+                runtime,
+                comm_fraction: cf,
+                friendliness: (1.0 - cf).clamp(0.0, 1.0),
+            }
         })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
+        .collect()
 }
-
-impl ExactSizeIterator for LublinBurstMix {}
 
 #[cfg(test)]
 mod tests {
@@ -343,26 +310,6 @@ mod tests {
             assert_eq!(b.runtime[2], j.runtime * (1.10 + 1.3 * j.comm_fraction));
             assert_eq!(b.friendliness, (1.0 - j.comm_fraction).clamp(0.0, 1.0));
         }
-    }
-
-    #[test]
-    fn streaming_burst_mix_matches_batch() {
-        let slow = [(1.05, 0.9), (1.10, 1.3)];
-        let batch = lublin_burst_mix(50, 16, 1.2, 9, &slow);
-        let mut stream = LublinBurstMix::new(50, 16, 1.2, 9, &slow);
-        assert_eq!(stream.len(), batch.len());
-        for want in &batch {
-            let got = stream.next().expect("stream ends with the batch");
-            assert_eq!(got.id, want.id);
-            assert_eq!(got.nodes, want.nodes);
-            assert_eq!(got.submit.to_bits(), want.submit.to_bits());
-            assert_eq!(got.runtime.len(), want.runtime.len());
-            for (g, w) in got.runtime.iter().zip(&want.runtime) {
-                assert_eq!(g.to_bits(), w.to_bits());
-            }
-            assert_eq!(got.friendliness.to_bits(), want.friendliness.to_bits());
-        }
-        assert!(stream.next().is_none());
     }
 
     #[test]

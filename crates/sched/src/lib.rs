@@ -7,9 +7,8 @@
 //!   holding the available [`ProcSet`] over the site's hierarchical
 //!   resource tree ([`hierarchy::Hierarchy`]: site → rack → node → core);
 //!   every scheduling decision is interval intersection and slot
-//!   split/merge ([`slot::SlotSet`]). The historical free-node-counting
-//!   core survives as [`SchedEngine::LegacyFreeNode`], an equivalence
-//!   oracle the tests pin the slot engine against bit-for-bit;
+//!   split/merge ([`slot::SlotSet`]). The tests pin it to a brute-force
+//!   reference scheduler that shares none of its code;
 //! * **queue disciplines** — FCFS, EASY backfill and conservative
 //!   backfill ([`Discipline`], [`simulate_site`]), with walltime estimates
 //!   and the EASY invariant (backfilled jobs never delay the queue head's
@@ -17,7 +16,7 @@
 //! * **calendars and contracts** — advance reservations ([`SchedJob::at`])
 //!   and maintenance windows ([`Maintenance`]) pre-split into the slot
 //!   set, per-project concurrency quotas ([`QuotaRule`]), job dependency
-//!   DAGs and moldable jobs ([`JobShape`]) — slot-set engine only;
+//!   DAGs and moldable jobs ([`JobShape`]);
 //! * **placement policies** — packed, scattered, rack-aware, rack-strict
 //!   ([`PlacementPolicy`]) over the platform's switch topology, where
 //!   co-located jobs sharing links pay the contention multiplier
@@ -27,11 +26,17 @@
 //!   spot preemption, checkpoint/restart requeue costs and price-model
 //!   accounting ([`simulate_burst`], [`pricing::PriceModel`]).
 //!
+//! One event loop (`driver`) runs every entry point: [`simulate_site`]
+//! feeds it the input slice, [`simulate_site_stream`] a lazy iterator whose
+//! outcomes are reported and retired as jobs depart, and
+//! [`simulate_burst`] N sites behind burst admission.
+//!
 //! Per-job attribution (queue wait, contention inflation, preemption loss)
 //! feeds the IPM-style [`sim_ipm::SchedReport`] via [`sched_report`].
 
 pub(crate) mod arena;
 pub mod burst;
+mod driver;
 pub mod error;
 pub mod hierarchy;
 pub mod job;
@@ -47,13 +52,12 @@ pub use burst::{
 };
 pub use error::SchedError;
 pub use hierarchy::Hierarchy;
-pub use job::{lublin_burst_mix, lublin_mix, JobShape, LublinBurstMix, LublinMix, SchedJob};
+pub use job::{lublin_burst_mix, lublin_mix, JobShape, LublinMix, SchedJob};
 pub use pool::{share_links, NodePool, PlacementPolicy};
 pub use pricing::PriceModel;
 pub use site::{
     simulate_site, Discipline, FaultAction, FaultEvent, FaultStats, JobOutcome, MaintNodes,
-    Maintenance, NodeHealth, QuotaRule, RequeuePolicy, SchedEngine, SiteConfig, SiteFaults,
-    SiteResult,
+    Maintenance, NodeHealth, QuotaRule, RequeuePolicy, SiteConfig, SiteFaults, SiteResult,
 };
 pub use slot::{ProcSet, SlotSet};
 pub use stream::{simulate_site_stream, StreamStats};
@@ -108,30 +112,5 @@ pub fn sched_report(site: &str, jobs: &[SchedJob], result: &SiteResult) -> Sched
         site: site.to_string(),
         rows,
         events,
-    }
-}
-
-/// Build the IPM-style scheduler report from a multi-site burst result,
-/// attributing each job to the site it finally ran on.
-pub fn burst_report(sites: &[BurstSite], jobs: &[BurstJob], stats: &BurstStats) -> SchedReport {
-    let rows = jobs
-        .iter()
-        .zip(&stats.jobs)
-        .map(|(j, o)| SchedJobRow {
-            id: j.id,
-            name: format!("{}@{}", j.name, sites[o.site].name),
-            kind: if o.site == 0 { "home" } else { "cloud" }.to_string(),
-            nodes: j.nodes,
-            wait: o.wait,
-            runtime: o.runtime + o.inflation,
-            contention_inflation: o.inflation,
-            preempt_loss: o.preempt_loss,
-            completed: o.completed,
-        })
-        .collect();
-    SchedReport {
-        site: "multi-site".to_string(),
-        rows,
-        events: vec![],
     }
 }

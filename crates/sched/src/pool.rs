@@ -102,11 +102,6 @@ impl NodePool {
         self.free.len()
     }
 
-    /// The currently free nodes as a proc set.
-    pub fn free_set(&self) -> &ProcSet {
-        &self.free
-    }
-
     pub fn rack_of(&self, node: usize) -> usize {
         self.hier.rack_of(node)
     }

@@ -1,22 +1,16 @@
-//! The single-site scheduling engine: queue disciplines over
-//! `sim_des::EventQueue`, with placement-aware link contention.
+//! The single-site scheduling engine: queue disciplines over a slot set,
+//! with placement-aware link contention. The `driver` module runs it.
 //!
-//! # Engines
+//! # The slot-set engine
 //!
-//! Two engines implement every discipline. The **slot-set engine**
-//! (default) schedules over a [`SlotSet`]: a time-ordered list of slots,
-//! each holding the available [`ProcSet`] over its interval, with slot
-//! split/merge as the only mutations. Starting a job subtracts its
+//! Every discipline schedules over a [`SlotSet`]: a time-ordered list of
+//! slots, each holding the available [`ProcSet`] over its interval, with
+//! slot split/merge as the only mutations. Starting a job subtracts its
 //! placement from the slots over `[start, start + walltime)`; a departure
 //! adds it back over the unused tail. Count profiles walked off the slot
-//! list feed the same earliest-fit scan the legacy engine used, which is
-//! what makes the two engines bit-identical on the classic disciplines —
-//! pinned by the equivalence suite — while only the slot-set engine can
-//! express advance reservations, maintenance calendars, per-project
-//! quotas, job dependencies and moldable jobs. The **legacy free-node
-//! engine** counts free nodes at event times; it is kept behind
-//! [`SchedEngine::LegacyFreeNode`] purely as the equivalence oracle and
-//! rejects the new capabilities at validation.
+//! list feed the earliest-fit scan ([`earliest_fit`]) behind every quote.
+//! `tests/sched_reference.rs` pins the disciplines to a brute-force
+//! reference scheduler that shares none of this code.
 //!
 //! # Disciplines
 //!
@@ -34,13 +28,8 @@
 //!   completion opens a feasible earlier window, holding all other
 //!   reservations fixed); a job starts exactly when its reservation comes
 //!   due. No job is ever delayed past its first quoted start.
-//! * **NaiveBackfill** — the historically buggy rule this subsystem
-//!   replaced: backfill anything that fits the *currently free* nodes,
-//!   ignoring reservations. Kept (documented, non-default) as the
-//!   regression foil: it demonstrably delays the head (see
-//!   `tests/sched_invariants.rs`).
 //!
-//! # New capabilities (slot-set engine only)
+//! # Calendars and contracts
 //!
 //! * **Maintenance calendars** ([`Maintenance`]): each window is pre-split
 //!   into the slot set at setup, hard-removing its nodes; a job only starts
@@ -78,15 +67,20 @@
 
 use crate::arena::{JobArena, JobRec};
 use crate::burst::CheckpointSpec;
+use crate::driver::{self, Arrivals, Ev, JobSource, OutcomeSink};
 use crate::error::SchedError;
 use crate::job::{JobShape, SchedJob};
 use crate::pool::{share_links, NodePool, PlacementPolicy};
 use crate::slot::{earliest_fit, level_at, ProcSet, SlotSet, EPS};
-use sim_des::{EventQueue, SimDur, SimTime};
+use sim_des::{DetRng, SimDur, SimTime};
 use sim_faults::{FaultKind, FaultModel, FaultSchedule, RetryPolicy};
 use sim_net::ContentionParams;
 use sim_platform::{ClusterSpec, HypervisorKind};
 use std::collections::VecDeque;
+
+/// RNG stream tag for spot-preemption draws. Every pinned preemption
+/// realisation depends on it.
+const PREEMPT_STREAM: u64 = 0x9EE2_0000;
 
 /// Queue discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +88,6 @@ pub enum Discipline {
     Fcfs,
     Easy,
     Conservative,
-    /// The free-nodes-only backfill rule (head-delay bug); regression foil.
-    NaiveBackfill,
 }
 
 impl Discipline {
@@ -104,28 +96,6 @@ impl Discipline {
             Discipline::Fcfs => "fcfs",
             Discipline::Easy => "easy",
             Discipline::Conservative => "conservative",
-            Discipline::NaiveBackfill => "naive-backfill",
-        }
-    }
-}
-
-/// Which scheduling core runs the discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedEngine {
-    /// Interval algebra over the slot set (default; full capability set).
-    #[default]
-    SlotSet,
-    /// The historical free-node counting core, kept as the equivalence
-    /// oracle. Rejects calendars, quotas, reservations, dependencies and
-    /// moldable jobs at validation.
-    LegacyFreeNode,
-}
-
-impl SchedEngine {
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedEngine::SlotSet => "slot-set",
-            SchedEngine::LegacyFreeNode => "legacy-free-node",
         }
     }
 }
@@ -212,7 +182,7 @@ impl NodeHealth {
     }
 }
 
-/// Seeded unplanned-fault feed for one site (slot-set engine only).
+/// Seeded unplanned-fault feed for one site.
 ///
 /// The schedule is a pure function of `(model, pool size, horizon, seed)`
 /// via [`FaultSchedule::generate`]; two runs at the same seed are
@@ -420,7 +390,8 @@ pub struct SiteResult {
     pub total_inflation: f64,
     /// Jobs that started later than the reservation recorded when they
     /// first blocked at the head (EASY/conservative: must stay 0; the
-    /// naive rule trips it).
+    /// naive free-nodes-only rule of the reference scheduler in
+    /// `tests/sched_reference.rs` trips it).
     pub head_delay_violations: usize,
     /// `(job index, reserved start)` as first quoted; for invariant tests.
     pub reservations: Vec<(usize, f64)>,
@@ -448,14 +419,13 @@ pub(crate) struct SiteState {
     pub placement: PlacementPolicy,
     pub discipline: Discipline,
     pub contention: ContentionParams,
-    pub engine: SchedEngine,
     pub queue: VecDeque<usize>,
     pub running: Vec<Running>,
     /// Every admitted job's record: view, project, deps, reservations
     /// (conservative `resv` is persistent — once granted it only ever
     /// moves *earlier*; recomputing from scratch at each event is not
     /// monotone and breaks the no-delay guarantee), kill counts, fault
-    /// loss. ID-indexed; the streaming driver retires records as outcomes
+    /// loss. ID-indexed; a streaming run retires records as outcomes
     /// are reported so memory tracks live jobs, not trace length.
     pub(crate) jobs: JobArena,
     /// Simulation time of the last work-accounting advance.
@@ -463,8 +433,6 @@ pub(crate) struct SiteState {
     /// Wake-event generation; stale wakes are dropped.
     pub wake_gen: u64,
     pub head_delay_violations: usize,
-    /// Jobs started this step: `(job, start, wait)`.
-    pub started: Vec<(usize, f64, f64)>,
     /// Earliest future reservation-due instant (conservative only). A
     /// reservation coming due must be a simulation event: a due job that
     /// waits for the next departure instead would start *after* its quoted
@@ -482,10 +450,11 @@ pub(crate) struct SiteState {
     scan_watermark: usize,
     /// Whether capacity was released since the last conservative
     /// compression sweep. While clean, the profile only tightened (time
-    /// advanced, reservations were added), so a fresh quote can never
-    /// beat a pinned one and the O(queue²)-per-event sweep is skipped.
+    /// advanced, reservations were added), so the O(queue²)-per-event
+    /// sweep is skipped. One sweep is not a fixed point, so this cadence
+    /// is part of the discipline's definition, not just a shortcut.
     resv_dirty: bool,
-    /// The availability timeline (slot-set engine only).
+    /// The availability timeline.
     slots: SlotSet,
     quotas: Vec<QuotaRule>,
     /// Submitted jobs still gated on dependencies, in submission order.
@@ -494,10 +463,19 @@ pub(crate) struct SiteState {
     /// Whether maintenance windows were pre-split into the slots. Sticky:
     /// once outages shape the timeline, window-fit checks stay on.
     calendar_applied: bool,
+    /// Spot revocation `(rate per node-hour, seed)` drawn for every job
+    /// this site starts; `None` on non-revocable capacity.
+    pub(crate) spot: Option<(f64, u64)>,
     /// Whether an unplanned-fault feed is attached. Gates every fault
     /// branch, so the zero-fault path stays bit-identical to the
     /// pre-fault engine.
     faults_active: bool,
+    /// The pre-generated fault plan: `(start, end, node)` crash windows
+    /// (end covers the repair) and NIC-degrade windows, indexed by the
+    /// driver's fault events.
+    pub(crate) crashes: Vec<(f64, f64, usize)>,
+    pub(crate) degrades: Vec<(f64, f64, usize)>,
+    pub(crate) requeue: RequeuePolicy,
     /// Per-node health; sized at [`attach_faults`](Self::attach_faults).
     health: Vec<NodeHealth>,
     /// Per-node instant until which the node is excluded from new work
@@ -507,78 +485,83 @@ pub(crate) struct SiteState {
     pub(crate) fault_stats: FaultStats,
 }
 
-/// A completion or kill the caller must record.
-pub(crate) enum Departure {
-    Completed {
-        job: usize,
-        start: f64,
-        end: f64,
-        nodes: usize,
-    },
-    Killed {
-        job: usize,
-        start: f64,
-        end: f64,
-        nodes: usize,
-    },
-}
-
 impl SiteState {
-    pub fn new(
-        pool: NodePool,
-        placement: PlacementPolicy,
-        discipline: Discipline,
-        contention: ContentionParams,
-        engine: SchedEngine,
-    ) -> SiteState {
-        let slots = SlotSet::new(0.0, pool.hierarchy().site());
-        SiteState {
-            pool,
-            placement,
-            discipline,
-            contention,
-            engine,
+    /// A fresh site: the config's pool, policies and quotas, with its
+    /// maintenance calendar pre-split into the slot set.
+    pub fn new(cfg: &SiteConfig) -> SiteState {
+        let mut st = SiteState {
+            pool: cfg.pool.clone(),
+            placement: cfg.placement,
+            discipline: cfg.discipline,
+            contention: cfg.contention,
             queue: VecDeque::new(),
             running: Vec::new(),
             jobs: JobArena::default(),
             clock: 0.0,
             wake_gen: 0,
             head_delay_violations: 0,
-            started: Vec::new(),
             next_due: None,
             scan_watermark: 0,
             resv_dirty: true,
-            slots,
-            quotas: Vec::new(),
+            slots: SlotSet::new(0.0, cfg.pool.hierarchy().site()),
+            quotas: cfg.quotas.clone(),
             gated: Vec::new(),
             advance: Vec::new(),
             calendar_applied: false,
+            spot: None,
             faults_active: false,
+            crashes: Vec::new(),
+            degrades: Vec::new(),
+            requeue: RequeuePolicy::default(),
             health: Vec::new(),
             unavail_until: Vec::new(),
             fault_events: Vec::new(),
             fault_stats: FaultStats::default(),
-        }
+        };
+        st.apply_calendar(&cfg.calendar);
+        st
     }
 
-    /// Admit one job into the arena; returns its id. Batch drivers admit
-    /// everything up front (ids == input indices); the streaming driver
+    /// Admit one job into the arena; returns its id. Batch and burst runs
+    /// admit everything up front (ids == input indices); a streaming run
     /// admits on arrival and retires on outcome.
     pub(crate) fn admit(&mut self, j: &SchedJob) -> usize {
-        let mut rec = JobRec::new(JobView::of(j));
+        let mut rec = JobRec::new(j.id, JobView::of(j));
         rec.project = j.project;
         rec.deps = j.deps.clone();
         self.jobs.insert(rec)
     }
 
-    /// Arm the fault branches: allocate the per-node health vectors and
-    /// switch placement onto window-fit checks (a crash carve is a
-    /// dynamic constraint exactly like an unscheduled maintenance
-    /// window). Never called on the zero-fault path.
-    pub(crate) fn attach_faults(&mut self) {
+    /// Arm the fault branches: generate the fault plan, allocate the
+    /// per-node health vectors and switch placement onto window-fit checks
+    /// (a crash carve is a dynamic constraint exactly like an unscheduled
+    /// maintenance window). Never called on the zero-fault path. The plan
+    /// is a pure function of `(model, pool, horizon, seed)`, so two runs
+    /// at the same seed replay the identical timeline.
+    pub(crate) fn attach_faults(&mut self, f: &SiteFaults) {
         self.faults_active = true;
         self.health = vec![NodeHealth::Healthy; self.pool.nodes()];
         self.unavail_until = vec![0.0; self.pool.nodes()];
+        self.requeue = f.requeue;
+        let plan = FaultSchedule::generate(
+            &f.model,
+            self.pool.nodes(),
+            SimDur::from_secs_f64(f.horizon_secs),
+            f.seed,
+        );
+        for w in plan.windows() {
+            let (start, end) = (w.start.as_secs_f64(), w.end.as_secs_f64());
+            match w.kind {
+                FaultKind::NodeCrash => {
+                    self.crashes
+                        .push((start, end.max(start + f.mttr_secs), w.node))
+                }
+                FaultKind::NicDegrade { .. } => self.degrades.push((start, end, w.node)),
+                // Steal storms, brownouts, spot revocation and SDC act at
+                // the engine/burst level, not on the slot timeline.
+                _ => {}
+            }
+        }
     }
 
     /// Current health of `node` (Healthy when no feed is attached).
@@ -587,14 +570,8 @@ impl SiteState {
         self.health.get(node).copied().unwrap_or_default()
     }
 
-    /// Install the site's quota rules. Single-site drivers call this; the
-    /// burst driver leaves them empty.
-    pub(crate) fn set_quotas(&mut self, quotas: &[QuotaRule]) {
-        self.quotas = quotas.to_vec();
-    }
-
     /// Pre-split every maintenance window out of the slot set.
-    pub(crate) fn apply_calendar(&mut self, calendar: &[Maintenance]) {
+    fn apply_calendar(&mut self, calendar: &[Maintenance]) {
         self.calendar_applied = self.calendar_applied || !calendar.is_empty();
         for m in calendar {
             let procs = match &m.nodes {
@@ -633,8 +610,8 @@ impl SiteState {
     }
 
     /// True when something besides the running set shapes availability —
-    /// the gate between the legacy-parity fast paths (instantaneous
-    /// availability) and the full window-fit checks.
+    /// the gate between the fast paths (instantaneous availability) and the
+    /// full window-fit checks.
     fn constrained(&self) -> bool {
         !self.quotas.is_empty()
             || !self.advance.is_empty()
@@ -651,9 +628,7 @@ impl SiteState {
             }
         }
         self.clock = self.clock.max(now);
-        if self.engine == SchedEngine::SlotSet {
-            self.slots.truncate_before(self.clock);
-        }
+        self.slots.truncate_before(self.clock);
     }
 
     /// Queue a submitted job, or gate it on unfinished dependencies.
@@ -689,50 +664,62 @@ impl SiteState {
     }
 
     /// Pull out every job that has completed its work or hit its walltime
-    /// by `now`. Call after `advance(now)`.
-    pub fn departures(&mut self, now: f64) -> Vec<Departure> {
+    /// by `now`, as `(job, outcome)`. Call after `advance(now)`.
+    pub(crate) fn departures(&mut self, now: f64) -> Vec<(usize, JobOutcome)> {
+        let done = self.evict(now, |r| r.remaining <= EPS || r.kill_at <= now + EPS);
+        done.into_iter()
+            .map(|r| {
+                self.jobs[r.job].departed = true;
+                let completed = r.remaining <= EPS;
+                let o = self.outcome(r.job, r.start, now, r.nodes_held.len(), completed);
+                (r.job, o)
+            })
+            .collect()
+    }
+
+    /// Take every running job matching `hit` off its nodes at `now` and
+    /// release it (see [`Self::release_run`]).
+    fn evict(&mut self, now: f64, hit: impl Fn(&Running) -> bool) -> Vec<Running> {
         let mut out = Vec::new();
         let mut i = 0;
-        let mut released = false;
         while i < self.running.len() {
-            let r = &self.running[i];
-            if r.remaining <= EPS {
+            if hit(&self.running[i]) {
                 let r = self.running.swap_remove(i);
                 self.release_run(now, &r);
-                released = true;
-                out.push(Departure::Completed {
-                    job: r.job,
-                    start: r.start,
-                    end: now,
-                    nodes: r.nodes_held.len(),
-                });
-            } else if r.kill_at <= now + EPS {
-                let r = self.running.swap_remove(i);
-                self.release_run(now, &r);
-                released = true;
-                out.push(Departure::Killed {
-                    job: r.job,
-                    start: r.start,
-                    end: now,
-                    nodes: r.nodes_held.len(),
-                });
+                out.push(r);
             } else {
                 i += 1;
             }
         }
-        if released {
+        if !out.is_empty() {
             self.capacity_released();
-            if self.engine == SchedEngine::SlotSet {
-                self.slots.merge();
-            }
-        }
-        for d in &out {
-            let job = match d {
-                Departure::Completed { job, .. } | Departure::Killed { job, .. } => *job,
-            };
-            self.jobs[job].departed = true;
+            self.slots.merge();
         }
         out
+    }
+
+    /// The outcome of `job`'s run over `[start, end)` on `nodes` nodes.
+    pub(crate) fn outcome(
+        &self,
+        job: usize,
+        start: f64,
+        end: f64,
+        nodes: usize,
+        completed: bool,
+    ) -> JobOutcome {
+        let rec = &self.jobs[job];
+        JobOutcome {
+            id: rec.id,
+            start,
+            end,
+            // Clamp away the sub-ns residue of f64 -> SimTime rounding.
+            wait: (start - rec.view.submit).max(0.0),
+            inflation: ((end - start) - rec.view.runtime).max(0.0),
+            completed,
+            nodes,
+            requeues: rec.kills,
+            fault_loss_s: rec.fault_loss,
+        }
     }
 
     /// Return a departing run's nodes to the pool and to the unused tail
@@ -741,7 +728,7 @@ impl SiteState {
     /// exclusion ends — re-adding it from `now` would undo the carve.
     fn release_run(&mut self, now: f64, r: &Running) {
         self.pool.release(&r.nodes_held);
-        if self.engine == SchedEngine::SlotSet && now < r.kill_at {
+        if now < r.kill_at {
             if self.faults_active {
                 let mut plain: Vec<usize> = Vec::new();
                 for &n in &r.nodes_held {
@@ -811,60 +798,54 @@ impl SiteState {
         }
     }
 
-    // -- Legacy free-node primitives -------------------------------------
-
-    /// Walltime-based release profile of the running set: `(end, nodes)`
-    /// sorted by end. Static upper bounds — never moved by contention.
-    fn release_profile(&self) -> Vec<(f64, usize)> {
-        let mut prof: Vec<(f64, usize)> = self
-            .running
-            .iter()
-            .map(|r| (r.kill_at, self.jobs[r.job].view.nodes))
-            .collect();
-        prof.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite walltimes"));
-        prof
-    }
-
-    /// EASY reservation for a job needing `need` nodes: `(shadow, extra)`,
-    /// or `None` when the release profile never frees enough nodes (the
-    /// caller surfaces that as a typed [`SchedError`]; validation makes it
-    /// unreachable for well-formed inputs).
-    fn easy_reservation(&self, need: usize) -> Option<(f64, usize)> {
-        let mut free = self.pool.free_count();
-        debug_assert!(free < need, "head would have started");
-        for (end, n) in self.release_profile() {
-            free += n;
-            if free >= need {
-                return Some((end, free - need));
-            }
-        }
-        None
-    }
-
     // -- Slot-set primitives ---------------------------------------------
 
-    /// The slot walk from `now` on, as a `(base level, deltas)` pair in the
-    /// shape the legacy `Profile` consumed — what makes conservative quotes
-    /// on the two engines bit-identical.
-    fn slot_profile(&self, now: f64) -> (i64, Vec<(f64, i64)>) {
-        let slots = self.slots.slots();
-        let i = self.slots.index_at(now);
-        let base = slots[i].effective();
+    /// The free-node step profile from `now` on, as `(time, level)`
+    /// breakpoints: the slot walk, less — when quoting a conservative
+    /// reservation for `quoting` — every other queued job's reservation
+    /// window. The deltas go through one stable sort, and breakpoints
+    /// within [`EPS`] merge (last level wins). Windows and outages dip the
+    /// profile; [`earliest_fit`] handles dips.
+    fn profile(&self, now: f64, quoting: Option<usize>) -> Vec<(f64, i64)> {
+        let slots = &self.slots.slots()[self.slots.index_at(now)..];
+        let base = slots[0].effective();
         let mut level = base;
-        let mut deltas = Vec::with_capacity(slots.len() - i);
-        for s in &slots[i + 1..] {
+        let mut deltas = Vec::with_capacity(slots.len());
+        for s in &slots[1..] {
             let l = s.effective();
             deltas.push((s.begin, l - level));
             level = l;
         }
-        (base, deltas)
+        if let Some(job) = quoting {
+            for &other in &self.queue {
+                if let Some(s) = self.jobs[other].resv.filter(|_| other != job) {
+                    let ov = self.jobs[other].view;
+                    let start = s.max(now);
+                    deltas.push((start, -(ov.nodes as i64)));
+                    deltas.push((start + ov.walltime, ov.nodes as i64));
+                }
+            }
+        }
+        deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        let mut points = Vec::with_capacity(deltas.len() + 1);
+        points.push((now, base));
+        for (t, d) in deltas {
+            let last = points.last_mut().expect("starts at now");
+            let free = last.1 + d;
+            if (t - last.0).abs() <= EPS {
+                last.1 = free;
+            } else {
+                points.push((t, free));
+            }
+        }
+        points
     }
 
     /// EASY reservation off the slot walk: earliest breakpoint where the
-    /// head's whole walltime window fits, plus the spare level there. On an
-    /// unconstrained (monotone) profile this is exactly the legacy
-    /// release-walk crossing.
-    fn easy_reservation_slot(&self, now: f64, need: usize, walltime: f64) -> Option<(f64, i64)> {
+    /// head's whole walltime window fits, plus the spare level there (the
+    /// *extra* nodes). `None` when the profile never fits the head; the
+    /// caller surfaces that as a typed [`SchedError`].
+    fn easy_reservation(&self, now: f64, need: usize, walltime: f64) -> Option<(f64, i64)> {
         let slots = self.slots.slots();
         let i = self.slots.index_at(now);
         let mut points = Vec::with_capacity(slots.len() - i);
@@ -878,10 +859,9 @@ impl SiteState {
 
     /// The procs a job starting now may be placed on, or `None` when the
     /// placement policy cannot carve its width out of them. Unconstrained
-    /// runs use the instantaneous availability (the legacy semantics);
-    /// constrained runs intersect the job's whole walltime window so a
-    /// start can never collide with a maintenance outage or a pinned
-    /// reservation downstream.
+    /// runs use the instantaneous availability; constrained runs intersect
+    /// the job's whole walltime window so a start can never collide with a
+    /// maintenance outage or a pinned reservation downstream.
     fn placement_fit(&self, now: f64, v: &JobView) -> Option<ProcSet> {
         let cand = if self.constrained() {
             self.slots.window_avail(now, now + v.walltime)
@@ -938,11 +918,10 @@ impl SiteState {
         if j.shapes.is_empty() {
             return Ok(None);
         }
-        let (base, deltas) = self.slot_profile(now);
-        let prof = Profile::new(now, base, deltas);
+        let points = self.profile(now, None);
         let mut best: Option<(f64, usize, JobShape)> = None;
         for shape in &j.shapes {
-            let start = prof.earliest(shape.nodes, shape.walltime).ok_or(
+            let start = earliest_fit(&points, shape.nodes as i64, shape.walltime).ok_or(
                 SchedError::InsufficientNodes {
                     job: j.id,
                     need: shape.nodes,
@@ -990,18 +969,9 @@ impl SiteState {
 
     // -- Starting jobs ----------------------------------------------------
 
-    /// Legacy path: allocate from the whole free pool.
-    fn start_job(&mut self, pos: usize, now: f64) -> Result<(), SchedError> {
-        let job = self.queue.remove(pos).expect("valid queue position");
-        let v = self.jobs[job].view;
-        let nodes_held = self.pool.alloc(v.nodes, self.placement)?;
-        self.commence(job, now, &v, nodes_held, now + v.walltime, false);
-        Ok(())
-    }
-
-    /// Slot path: allocate from the window's candidate procs and split the
-    /// placement out of the slots over `[now, now + walltime)`.
-    fn start_job_slot(&mut self, pos: usize, now: f64, cand: &ProcSet) -> Result<(), SchedError> {
+    /// Allocate from the window's candidate procs and split the placement
+    /// out of the slots over `[now, now + walltime)`.
+    fn start_job(&mut self, pos: usize, now: f64, cand: &ProcSet) -> Result<(), SchedError> {
         let job = self.queue.remove(pos).expect("valid queue position");
         let v = self.jobs[job].view;
         let nodes_held = self.pool.alloc_from(v.nodes, self.placement, cand)?;
@@ -1011,7 +981,8 @@ impl SiteState {
 
     /// Shared tail of every start: record the reservation violation, split
     /// the slots (unless the window was pre-split by a pinned reservation),
-    /// and push the running record.
+    /// push the running record, and draw its spot revocation on revocable
+    /// capacity.
     fn commence(
         &mut self,
         job: usize,
@@ -1021,7 +992,7 @@ impl SiteState {
         kill_at: f64,
         presplit: bool,
     ) {
-        if self.engine == SchedEngine::SlotSet && !presplit {
+        if !presplit {
             self.slots
                 .sub_window(now, kill_at, &ProcSet::from_ids(&nodes_held));
         }
@@ -1036,6 +1007,13 @@ impl SiteState {
         } else {
             0.0
         };
+        // Revocable capacity: draw the instance's time-to-preempt; if it
+        // fires before the nominal runtime, the run dies mid-flight.
+        let preempt_at = self.spot.and_then(|(rate, seed)| {
+            let mut rng = DetRng::new(seed, PREEMPT_STREAM ^ job as u64);
+            let t = rng.exponential(3600.0 / (rate * v.nodes as f64));
+            (t < v.runtime).then_some(now + t)
+        });
         self.running.push(Running {
             job,
             start: now,
@@ -1044,110 +1022,33 @@ impl SiteState {
             remaining: v.runtime,
             slowdown: 1.0,
             kill_at,
-            preempt_at: None,
+            preempt_at,
             nodes_held,
         });
-        // Clamp away the sub-ns residue of f64 -> SimTime rounding.
-        let wait = (now - v.submit).max(0.0);
-        self.started.push((job, now, wait));
     }
 
-    /// Start every job the discipline allows at `now`. Starts are recorded
-    /// in `self.started`; the caller recomputes rates afterwards.
+    /// Start every job the discipline allows at `now`; the caller
+    /// recomputes rates afterwards.
     pub fn try_start(&mut self, now: f64) -> Result<(), SchedError> {
         self.release_gated();
-        match (self.engine, self.discipline) {
-            (SchedEngine::LegacyFreeNode, Discipline::Fcfs) => self.try_start_fcfs(now),
-            (SchedEngine::LegacyFreeNode, Discipline::Easy) => self.try_start_backfill(now, true),
-            (SchedEngine::LegacyFreeNode, Discipline::NaiveBackfill) => {
-                self.try_start_backfill(now, false)
-            }
-            (SchedEngine::LegacyFreeNode, Discipline::Conservative) => {
-                self.try_start_conservative(now)
-            }
-            (SchedEngine::SlotSet, Discipline::Fcfs) => self.try_start_fcfs_slot(now),
-            (SchedEngine::SlotSet, Discipline::Easy) => self.try_start_backfill_slot(now, true),
-            (SchedEngine::SlotSet, Discipline::NaiveBackfill) => {
-                self.try_start_backfill_slot(now, false)
-            }
-            (SchedEngine::SlotSet, Discipline::Conservative) => {
-                self.try_start_conservative_slot(now)
-            }
+        match self.discipline {
+            Discipline::Fcfs => self.try_start_fcfs(now),
+            Discipline::Easy => self.try_start_easy(now),
+            Discipline::Conservative => self.try_start_conservative(now),
         }
     }
 
     fn try_start_fcfs(&mut self, now: f64) -> Result<(), SchedError> {
         while let Some(&head) = self.queue.front() {
-            if self.jobs[head].view.nodes > self.pool.free_count() {
+            let v = self.jobs[head].view;
+            let Some(cand) = self.placement_fit(now, &v) else {
+                break;
+            };
+            if !self.quota_ok(now, head, v.nodes) {
                 break;
             }
-            self.start_job(0, now)?;
+            self.start_job(0, now, &cand)?;
         }
-        Ok(())
-    }
-
-    /// EASY (`respect_shadow`) and the naive foil (`!respect_shadow`) share
-    /// a skeleton: start the head while it fits; otherwise reserve for the
-    /// head and scan the rest of the queue for backfills — one pass, with
-    /// starts taken in place. A start only removes capacity (free nodes
-    /// shrink, `extra` shrinks or holds, the shadow holds: a window-fit
-    /// start completes before it, an extra-fit start leaves the level at
-    /// the shadow at or above the head's need), so every candidate that
-    /// already failed re-fails and the historical restart-from-the-front
-    /// rescan visits no new starts — this is the same schedule without the
-    /// O(queue²) re-walk.
-    fn try_start_backfill(&mut self, now: f64, respect_shadow: bool) -> Result<(), SchedError> {
-        if self.backfill_fast_path() {
-            return Ok(());
-        }
-        // Start the head while it fits.
-        while let Some(&head) = self.queue.front() {
-            if self.jobs[head].view.nodes > self.pool.free_count() {
-                break;
-            }
-            self.start_job(0, now)?;
-            self.scan_watermark = 0;
-        }
-        let Some(&head) = self.queue.front() else {
-            self.scan_watermark = 0;
-            return Ok(());
-        };
-        // Head blocked: quote (and pin) its reservation.
-        let head_nodes = self.jobs[head].view.nodes;
-        let quote = |st: &SiteState| {
-            st.easy_reservation(head_nodes)
-                .ok_or(SchedError::InsufficientNodes {
-                    job: head,
-                    need: head_nodes,
-                    limit: st.pool.nodes(),
-                })
-        };
-        let (mut shadow, mut extra) = quote(self)?;
-        if self.jobs[head].reserved.is_none() {
-            self.jobs[head].reserved = Some(shadow);
-        }
-        let mut pos = self.scan_watermark.max(1);
-        while pos < self.queue.len() {
-            let cand = self.queue[pos];
-            let v = self.jobs[cand].view;
-            if v.nodes > self.pool.free_count() {
-                pos += 1;
-                continue;
-            }
-            let fits_window = now + v.walltime <= shadow + EPS;
-            let fits_extra = v.nodes <= extra;
-            if respect_shadow && !fits_window && !fits_extra {
-                pos += 1;
-                continue;
-            }
-            self.start_job(pos, now)?;
-            // The removal shifted the next candidate into `pos`; requote
-            // against the new release profile (a start that consumed
-            // extra nodes shrinks the recomputed extra automatically: its
-            // walltime now sits in the profile past the shadow).
-            (shadow, extra) = quote(self)?;
-        }
-        self.scan_watermark = self.queue.len();
         Ok(())
     }
 
@@ -1163,6 +1064,134 @@ impl SiteState {
                 Some(&head) => self.jobs[head].reserved.is_some(),
                 None => true,
             }
+    }
+
+    /// EASY: start the head while it fits; otherwise quote (and pin) the
+    /// head's reservation and scan the rest of the queue for backfills.
+    ///
+    /// Unconstrained, the scan is one pass with starts taken in place. A
+    /// start only removes capacity (free nodes shrink, `extra` shrinks or
+    /// holds, the shadow holds: a window-fit start completes before it, an
+    /// extra-fit start leaves the level at the shadow at or above the
+    /// head's need), so every candidate that already failed re-fails and a
+    /// restart from the front visits no new starts — the same schedule
+    /// without the O(queue²) re-walk. For the same reason the cross-event
+    /// watermark may skip the prefix the last scan rejected. Constrained
+    /// runs take the windowed re-scan below.
+    fn try_start_easy(&mut self, now: f64) -> Result<(), SchedError> {
+        if self.constrained() {
+            return self.try_start_easy_windowed(now);
+        }
+        if self.backfill_fast_path() {
+            return Ok(());
+        }
+        // Start the head while it fits.
+        loop {
+            let Some(&head) = self.queue.front() else {
+                self.scan_watermark = 0;
+                return Ok(());
+            };
+            let hv = self.jobs[head].view;
+            match self.placement_fit(now, &hv) {
+                Some(cand) => {
+                    self.start_job(0, now, &cand)?;
+                    self.scan_watermark = 0;
+                }
+                None => break,
+            }
+        }
+        let head = *self.queue.front().expect("checked above");
+        let hv = self.jobs[head].view;
+        // Head blocked: quote (and pin) its reservation. Unconstrained,
+        // a placement miss is the only block, so the pin is unconditional
+        // (cf. the quota-blocked case in the windowed scan).
+        let quote = |st: &SiteState| {
+            st.easy_reservation(now, hv.nodes, hv.walltime)
+                .ok_or(SchedError::InsufficientNodes {
+                    job: head,
+                    need: hv.nodes,
+                    limit: st.pool.nodes(),
+                })
+        };
+        let (mut shadow, mut extra) = quote(self)?;
+        if self.jobs[head].reserved.is_none() {
+            self.jobs[head].reserved = Some(shadow);
+        }
+        // Width against the instantaneous free set bounds every placement:
+        // no policy can carve `nodes` out of fewer procs. Checking it (and
+        // the pure window tests) before the feasibility walk is
+        // outcome-neutral — all checks must pass to start.
+        let mut free_len = self.slots.avail_at(now).len();
+        let mut pos = self.scan_watermark.max(1);
+        while pos < self.queue.len() {
+            let job = self.queue[pos];
+            let v = self.jobs[job].view;
+            let fits = v.nodes <= free_len
+                && (now + v.walltime <= shadow + EPS || v.nodes as i64 <= extra);
+            let Some(cand) = fits.then(|| self.placement_fit(now, &v)).flatten() else {
+                pos += 1;
+                continue;
+            };
+            self.start_job(pos, now, &cand)?;
+            // The removal shifts the next candidate into `pos`; requote
+            // against the new profile (a start that consumed extra nodes
+            // shrinks the recomputed extra: its walltime now sits in the
+            // profile past the shadow).
+            (shadow, extra) = quote(self)?;
+            free_len = self.slots.avail_at(now).len();
+        }
+        self.scan_watermark = self.queue.len();
+        Ok(())
+    }
+
+    /// Constrained (quota / calendar / advance / fault) backfill: every
+    /// check is a window fit that slides with `now`, so each pass re-scans
+    /// from the front and nothing is cached across events.
+    fn try_start_easy_windowed(&mut self, now: f64) -> Result<(), SchedError> {
+        'sched: loop {
+            let Some(&head) = self.queue.front() else {
+                return Ok(());
+            };
+            let hv = self.jobs[head].view;
+            let head_fit = self.placement_fit(now, &hv);
+            if let Some(cand) = &head_fit {
+                if self.quota_ok(now, head, hv.nodes) {
+                    let cand = cand.clone();
+                    self.start_job(0, now, &cand)?;
+                    continue;
+                }
+            }
+            // Head blocked: quote its reservation. Only a capacity block
+            // pins a promise — an admission (quota) block is not the
+            // scheduler's to promise around, and the quote below still
+            // bounds what may backfill safely.
+            let (shadow, extra) = self.easy_reservation(now, hv.nodes, hv.walltime).ok_or(
+                SchedError::InsufficientNodes {
+                    job: head,
+                    need: hv.nodes,
+                    limit: self.pool.nodes(),
+                },
+            )?;
+            if head_fit.is_none() && self.jobs[head].reserved.is_none() {
+                self.jobs[head].reserved = Some(shadow);
+            }
+            for pos in 1..self.queue.len() {
+                let job = self.queue[pos];
+                let v = self.jobs[job].view;
+                let Some(cand) = self.placement_fit(now, &v) else {
+                    continue;
+                };
+                if !self.quota_ok(now, job, v.nodes) {
+                    continue;
+                }
+                if now + v.walltime > shadow + EPS && v.nodes as i64 > extra {
+                    continue;
+                }
+                self.start_job(pos, now, &cand)?;
+                continue 'sched;
+            }
+            return Ok(());
+        }
     }
 
     /// Conservative backfilling with *persistent* reservations. A fresh
@@ -1195,9 +1224,9 @@ impl SiteState {
             // Compression sweep: each job may move earlier while all
             // other reservations stay fixed, so the mutual feasibility of
             // the window set is preserved and no window ever moves later.
-            // Skipped while no capacity has been released since the last
-            // sweep: the profile only tightened (time advanced, quotes
-            // were added), so no fresh quote can beat a pinned one.
+            // Run only after capacity came back or a start (see
+            // `resv_dirty`); a degrade only *restricts* the slot timeline,
+            // so it cannot open an earlier window either.
             if compress {
                 for pos in 0..self.queue.len() {
                     let job = self.queue[pos];
@@ -1209,263 +1238,10 @@ impl SiteState {
             }
             // Start the first job whose reservation has come due. Starting
             // occupies exactly the reserved window, so the remaining set
-            // stays feasible; loop in case the compaction cascades.
-            let due = (0..self.queue.len()).find(|&pos| {
-                let job = self.queue[pos];
-                self.jobs[job].resv.expect("quoted above") <= now + EPS
-                    && self.jobs[job].view.nodes <= self.pool.free_count()
-            });
-            match due {
-                Some(pos) => {
-                    self.jobs[self.queue[pos]].resv = None;
-                    self.start_job(pos, now)?;
-                    // A start replaces a reservation window with real
-                    // occupancy; keep the historical sweep-after-start.
-                    compress = true;
-                    any_start = true;
-                }
-                None => break,
-            }
-        }
-        // A due start can shift a breakpoint by a sub-EPS residue (the
-        // quote may sit up to EPS past `now`); leave the flag dirty so
-        // the next event sweeps once more. Starts are rare, so the skip
-        // still removes the O(queue²) cost from the common event.
-        self.resv_dirty = any_start;
-        // A reservation coming due must be a simulation event: a due job
-        // that waited for the next departure would start after its quoted
-        // time, sliding its occupancy past what every other window assumed.
-        self.next_due = self
-            .queue
-            .iter()
-            .filter_map(|&j| self.jobs[j].resv)
-            .filter(|&s| s > now + EPS)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite reservations"));
-        Ok(())
-    }
-
-    /// Earliest feasible start for `job` against the running set's walltime
-    /// profile plus every *other* queued job's current reservation window.
-    fn conservative_earliest(&self, now: f64, job: usize) -> Result<f64, SchedError> {
-        let mut deltas: Vec<(f64, i64)> = self
-            .release_profile()
-            .into_iter()
-            .map(|(t, n)| (t, n as i64))
-            .collect();
-        self.push_resv_deltas(now, job, &mut deltas);
-        let prof = Profile::new(now, self.pool.free_count() as i64, deltas);
-        let v = self.jobs[job].view;
-        prof.earliest(v.nodes, v.walltime)
-            .ok_or(SchedError::InsufficientNodes {
-                job,
-                need: v.nodes,
-                limit: self.pool.nodes(),
-            })
-    }
-
-    /// Append every *other* queued job's current reservation window to a
-    /// profile's delta list. Batched: the [`Profile`] is built (and its
-    /// deltas sorted) exactly once per quote — the historical
-    /// reserve-and-rebuild per window produced the identical final
-    /// breakpoints from the same delta list, minus O(queue) redundant
-    /// intermediate sorts nobody read.
-    fn push_resv_deltas(&self, now: f64, job: usize, deltas: &mut Vec<(f64, i64)>) {
-        for &other in &self.queue {
-            if other == job {
-                continue;
-            }
-            if let Some(s) = self.jobs[other].resv {
-                let ov = self.jobs[other].view;
-                let start = s.max(now);
-                deltas.push((start, -(ov.nodes as i64)));
-                deltas.push((start + ov.walltime, ov.nodes as i64));
-            }
-        }
-    }
-
-    // -- Slot-set disciplines --------------------------------------------
-
-    fn try_start_fcfs_slot(&mut self, now: f64) -> Result<(), SchedError> {
-        while let Some(&head) = self.queue.front() {
-            let v = self.jobs[head].view;
-            let Some(cand) = self.placement_fit(now, &v) else {
-                break;
-            };
-            if !self.quota_ok(now, head, v.nodes) {
-                break;
-            }
-            self.start_job_slot(0, now, &cand)?;
-        }
-        Ok(())
-    }
-
-    /// Unconstrained slot-set backfill: the same single-pass scan as the
-    /// legacy skeleton (availability is instantaneous and monotone under
-    /// starts, so in-place continuation and the cross-event watermark are
-    /// bit-identical to the restart-scan). Constrained runs take the
-    /// windowed re-scan below.
-    fn try_start_backfill_slot(
-        &mut self,
-        now: f64,
-        respect_shadow: bool,
-    ) -> Result<(), SchedError> {
-        if self.constrained() {
-            return self.try_start_backfill_slot_windowed(now, respect_shadow);
-        }
-        if self.backfill_fast_path() {
-            return Ok(());
-        }
-        // Start the head while it fits.
-        loop {
-            let Some(&head) = self.queue.front() else {
-                self.scan_watermark = 0;
-                return Ok(());
-            };
-            let hv = self.jobs[head].view;
-            match self.placement_fit(now, &hv) {
-                Some(cand) => {
-                    self.start_job_slot(0, now, &cand)?;
-                    self.scan_watermark = 0;
-                }
-                None => break,
-            }
-        }
-        let head = *self.queue.front().expect("checked above");
-        let hv = self.jobs[head].view;
-        // Head blocked: quote (and pin) its reservation. Unconstrained,
-        // a placement miss is the only block, so the pin is unconditional
-        // (cf. the quota-blocked case in the windowed scan).
-        let quote = |st: &SiteState| {
-            st.easy_reservation_slot(now, hv.nodes, hv.walltime).ok_or(
-                SchedError::InsufficientNodes {
-                    job: head,
-                    need: hv.nodes,
-                    limit: st.pool.nodes(),
-                },
-            )
-        };
-        let (mut shadow, mut extra) = quote(self)?;
-        if self.jobs[head].reserved.is_none() {
-            self.jobs[head].reserved = Some(shadow);
-        }
-        // Width against the instantaneous free set bounds every placement:
-        // no policy can carve `nodes` out of fewer procs. Checking it (and
-        // the pure window tests) before the feasibility walk is
-        // outcome-neutral — all checks must pass to start.
-        let mut free_len = self.slots.avail_at(now).len();
-        let mut pos = self.scan_watermark.max(1);
-        while pos < self.queue.len() {
-            let cand_job = self.queue[pos];
-            let v = self.jobs[cand_job].view;
-            if v.nodes > free_len {
-                pos += 1;
-                continue;
-            }
-            let fits_window = now + v.walltime <= shadow + EPS;
-            let fits_extra = v.nodes as i64 <= extra;
-            if respect_shadow && !fits_window && !fits_extra {
-                pos += 1;
-                continue;
-            }
-            let Some(cand) = self.placement_fit(now, &v) else {
-                pos += 1;
-                continue;
-            };
-            self.start_job_slot(pos, now, &cand)?;
-            (shadow, extra) = quote(self)?;
-            free_len = self.slots.avail_at(now).len();
-        }
-        self.scan_watermark = self.queue.len();
-        Ok(())
-    }
-
-    /// Constrained (quota / calendar / advance / fault) backfill: every
-    /// check is a window fit that slides with `now`, so each pass re-scans
-    /// from the front and nothing is cached across events.
-    fn try_start_backfill_slot_windowed(
-        &mut self,
-        now: f64,
-        respect_shadow: bool,
-    ) -> Result<(), SchedError> {
-        'sched: loop {
-            let Some(&head) = self.queue.front() else {
-                return Ok(());
-            };
-            let hv = self.jobs[head].view;
-            let head_fit = self.placement_fit(now, &hv);
-            if let Some(cand) = &head_fit {
-                if self.quota_ok(now, head, hv.nodes) {
-                    let cand = cand.clone();
-                    self.start_job_slot(0, now, &cand)?;
-                    continue;
-                }
-            }
-            // Head blocked: quote its reservation. Only a capacity block
-            // pins a promise — an admission (quota) block is not the
-            // scheduler's to promise around, and the quote below still
-            // bounds what may backfill safely.
-            let (shadow, extra) = self
-                .easy_reservation_slot(now, hv.nodes, hv.walltime)
-                .ok_or(SchedError::InsufficientNodes {
-                    job: head,
-                    need: hv.nodes,
-                    limit: self.pool.nodes(),
-                })?;
-            if head_fit.is_none() && self.jobs[head].reserved.is_none() {
-                self.jobs[head].reserved = Some(shadow);
-            }
-            for pos in 1..self.queue.len() {
-                let cand_job = self.queue[pos];
-                let v = self.jobs[cand_job].view;
-                let Some(cand) = self.placement_fit(now, &v) else {
-                    continue;
-                };
-                if !self.quota_ok(now, cand_job, v.nodes) {
-                    continue;
-                }
-                let fits_window = now + v.walltime <= shadow + EPS;
-                let fits_extra = v.nodes as i64 <= extra;
-                if respect_shadow && !fits_window && !fits_extra {
-                    continue;
-                }
-                self.start_job_slot(pos, now, &cand)?;
-                continue 'sched;
-            }
-            return Ok(());
-        }
-    }
-
-    fn try_start_conservative_slot(&mut self, now: f64) -> Result<(), SchedError> {
-        self.next_due = None;
-        let mut compress = self.resv_dirty;
-        let mut any_start = false;
-        loop {
-            for pos in 0..self.queue.len() {
-                let job = self.queue[pos];
-                if self.jobs[job].resv.is_some() {
-                    continue;
-                }
-                let s = self.conservative_earliest_slot(now, job)?;
-                self.jobs[job].resv = Some(s);
-                if self.jobs[job].reserved.is_none() {
-                    self.jobs[job].reserved = Some(s);
-                }
-            }
-            // Same release-gated compression skip as the legacy loop; a
-            // degrade only *restricts* the slot timeline, so it cannot
-            // open an earlier window either.
-            if compress {
-                for pos in 0..self.queue.len() {
-                    let job = self.queue[pos];
-                    let s = self.conservative_earliest_slot(now, job)?;
-                    if s < self.jobs[job].resv.expect("quoted above") - EPS {
-                        self.jobs[job].resv = Some(s);
-                    }
-                }
-            }
-            // A due job must also clear the admission gate and the window
-            // fit; one that does not stays queued (quotas may defer a
-            // quoted start — admission control trumps the quote).
+            // stays feasible; loop in case the compaction cascades. A due
+            // job must also clear the admission gate and the window fit;
+            // one that does not stays queued (quotas may defer a quoted
+            // start — admission control trumps the quote).
             let due = (0..self.queue.len()).find(|&pos| {
                 let job = self.queue[pos];
                 self.jobs[job].resv.expect("quoted above") <= now + EPS
@@ -1479,14 +1255,20 @@ impl SiteState {
                     let cand = self
                         .placement_fit(now, &self.jobs[job].view)
                         .expect("checked in the due scan");
-                    self.start_job_slot(pos, now, &cand)?;
+                    self.start_job(pos, now, &cand)?;
                     compress = true;
                     any_start = true;
                 }
                 None => break,
             }
         }
+        // A due start can shift a breakpoint by a sub-EPS residue (the
+        // quote may sit up to EPS past `now`); leave the flag dirty so the
+        // next event sweeps once more.
         self.resv_dirty = any_start;
+        // A reservation coming due must be a simulation event: a due job
+        // that waited for the next departure would start after its quoted
+        // time, sliding its occupancy past what every other window assumed.
         self.next_due = self
             .queue
             .iter()
@@ -1496,51 +1278,35 @@ impl SiteState {
         Ok(())
     }
 
-    /// [`Self::conservative_earliest`] fed from the slot walk instead of
-    /// the running list — byte-identical quotes by construction.
-    fn conservative_earliest_slot(&self, now: f64, job: usize) -> Result<f64, SchedError> {
-        let (base, mut deltas) = self.slot_profile(now);
-        self.push_resv_deltas(now, job, &mut deltas);
-        let prof = Profile::new(now, base, deltas);
+    /// Earliest feasible start for `job` against the slot walk plus every
+    /// *other* queued job's current reservation window.
+    fn conservative_earliest(&self, now: f64, job: usize) -> Result<f64, SchedError> {
+        let points = self.profile(now, Some(job));
         let v = self.jobs[job].view;
-        prof.earliest(v.nodes, v.walltime)
-            .ok_or(SchedError::InsufficientNodes {
-                job,
-                need: v.nodes,
-                limit: self.pool.nodes(),
-            })
+        earliest_fit(&points, v.nodes as i64, v.walltime).ok_or(SchedError::InsufficientNodes {
+            job,
+            need: v.nodes,
+            limit: self.pool.nodes(),
+        })
     }
 
     // -- Preemption (multi-site) -----------------------------------------
 
-    /// Pull out every running job whose drawn preemption time has come:
-    /// `(job, start, nominal seconds of work still unfinished)`. The nodes
-    /// are released; the in-flight run is lost. Call after `advance(now)`.
-    pub fn take_preempted(&mut self, now: f64) -> Vec<(usize, f64, f64)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut released = false;
-        while i < self.running.len() {
-            if self.running[i].preempt_at.is_some_and(|p| p <= now + EPS) {
-                let r = self.running.swap_remove(i);
-                self.release_run(now, &r);
-                released = true;
+    /// Pull out every running job whose drawn preemption time has come, as
+    /// `(job, nominal seconds of work still unfinished)`. The nodes are
+    /// released; the in-flight run is lost. Call after `advance(now)`.
+    pub fn take_preempted(&mut self, now: f64) -> Vec<(usize, f64)> {
+        let revoked = self.evict(now, |r| r.preempt_at.is_some_and(|p| p <= now + EPS));
+        revoked
+            .into_iter()
+            .map(|r| {
                 // A revoked job requeues as a fresh arrival: the promise it
                 // was quoted before it started (and ran!) is void.
                 self.jobs[r.job].reserved = None;
                 self.jobs[r.job].resv = None;
-                out.push((r.job, r.start, r.remaining.max(0.0)));
-            } else {
-                i += 1;
-            }
-        }
-        if released {
-            self.capacity_released();
-            if self.engine == SchedEngine::SlotSet {
-                self.slots.merge();
-            }
-        }
-        out
+                (r.job, r.remaining.max(0.0))
+            })
+            .collect()
     }
 
     /// Capacity came back (departure, preemption, crash kill, heal): every
@@ -1550,7 +1316,7 @@ impl SiteState {
         self.resv_dirty = true;
     }
 
-    // -- Unplanned faults (slot-set engine only) --------------------------
+    // -- Unplanned faults -------------------------------------------------
 
     /// An unplanned `NodeCrash` at `now`: carve the node out of slot
     /// availability until `repair_end` (a dynamic pre-split, like
@@ -1564,29 +1330,18 @@ impl SiteState {
         repair_end: f64,
         node: usize,
     ) -> Vec<(usize, f64, f64, usize)> {
-        debug_assert!(self.faults_active && self.engine == SchedEngine::SlotSet);
+        debug_assert!(self.faults_active);
         self.capacity_released();
         self.fault_stats.crashes += 1;
         self.slots
             .sub_window(now, repair_end, &ProcSet::from_ids(&[node]));
         self.unavail_until[node] = self.unavail_until[node].max(repair_end);
         self.health[node] = NodeHealth::Repairing;
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut released = false;
-        while i < self.running.len() {
-            if self.running[i].nodes_held.contains(&node) {
-                let r = self.running.swap_remove(i);
-                self.release_run(now, &r);
-                released = true;
-                out.push((r.job, r.start, r.remaining.max(0.0), r.nodes_held.len()));
-            } else {
-                i += 1;
-            }
-        }
-        if released {
-            self.slots.merge();
-        }
+        let out: Vec<(usize, f64, f64, usize)> = self
+            .evict(now, |r| r.nodes_held.contains(&node))
+            .into_iter()
+            .map(|r| (r.job, r.start, r.remaining.max(0.0), r.nodes_held.len()))
+            .collect();
         // Void quotes: a promise computed against pre-crash capacity is
         // not a promise the scheduler broke when the node died, and a
         // stale conservative reservation would pin the re-quote loop to a
@@ -1609,7 +1364,7 @@ impl SiteState {
     /// out rather than being killed. A node already down for repair stays
     /// Repairing (the crash dominates), but the exclusion still extends.
     pub(crate) fn degrade_node(&mut self, now: f64, end: f64, node: usize) {
-        debug_assert!(self.faults_active && self.engine == SchedEngine::SlotSet);
+        debug_assert!(self.faults_active);
         self.slots.sub_window(now, end, &ProcSet::from_ids(&[node]));
         self.unavail_until[node] = self.unavail_until[node].max(end);
         if self.health[node] == NodeHealth::Repairing {
@@ -1660,58 +1415,12 @@ impl SiteState {
         }
     }
 
-    /// Arm the spot-revocation timer on a just-started job.
-    pub fn set_preempt_at(&mut self, job: usize, at: f64) {
-        if let Some(r) = self.running.iter_mut().find(|r| r.job == job) {
-            r.preempt_at = Some(at);
-        }
-    }
-
     /// First-quoted reservations, for invariant checks.
     pub fn reservations(&self) -> Vec<(usize, f64)> {
         self.jobs
             .iter()
             .filter_map(|(j, r)| r.reserved.map(|t| (j, t)))
             .collect()
-    }
-}
-
-/// Free-node availability profile for conservative reservations:
-/// `(time, delta)` events prefix-summed into `(time, free-from-then-on)`
-/// breakpoints. Built from the complete delta list in one (stable) sort —
-/// the breakpoints depend only on the delta multiset, so batching every
-/// reservation before construction yields the bytes the historical
-/// rebuild-per-reservation produced. Deltas may be negative (maintenance
-/// windows dip the profile); the earliest scan handles dips.
-struct Profile {
-    /// Sorted breakpoints; `points[i].1` is the free count from
-    /// `points[i].0` until the next breakpoint. `points[0].0 == now`.
-    points: Vec<(f64, i64)>,
-}
-
-impl Profile {
-    fn new(now: f64, free_now: i64, mut deltas: Vec<(f64, i64)>) -> Profile {
-        deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        let mut points = Vec::with_capacity(deltas.len() + 1);
-        points.push((now, free_now));
-        let mut free = free_now;
-        for (t, d) in deltas {
-            free += d;
-            match points.last_mut() {
-                Some(last) if (t - last.0).abs() <= EPS => last.1 = free,
-                _ => points.push((t, free)),
-            }
-        }
-        Profile { points }
-    }
-
-    /// Earliest start at which `need` nodes stay free for `dur` seconds,
-    /// or `None` when the profile never frees them. All reservations and
-    /// outages end, so for validated inputs (width <= pool) the scan
-    /// always lands; callers turn `None` into a typed [`SchedError`]
-    /// instead of the historical panic.
-    fn earliest(&self, need: usize, dur: f64) -> Option<f64> {
-        earliest_fit(&self.points, need as i64, dur)
     }
 }
 
@@ -1722,7 +1431,6 @@ pub struct SiteConfig {
     pub placement: PlacementPolicy,
     pub discipline: Discipline,
     pub contention: ContentionParams,
-    pub engine: SchedEngine,
     pub calendar: Vec<Maintenance>,
     pub quotas: Vec<QuotaRule>,
     /// Seeded unplanned-fault feed; `None` (the default) keeps the
@@ -1742,16 +1450,10 @@ impl SiteConfig {
             placement,
             discipline,
             contention,
-            engine: SchedEngine::default(),
             calendar: Vec::new(),
             quotas: Vec::new(),
             faults: None,
         }
-    }
-
-    pub fn with_engine(mut self, engine: SchedEngine) -> SiteConfig {
-        self.engine = engine;
-        self
     }
 
     pub fn with_maintenance(mut self, m: Maintenance) -> SiteConfig {
@@ -1770,12 +1472,16 @@ impl SiteConfig {
     }
 }
 
-pub(crate) fn validate(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<(), SchedError> {
-    use std::cmp::Ordering;
-    // Windows must strictly increase; `partial_cmp` keeps NaN rejected.
-    let increases = |a: f64, b: f64| a.partial_cmp(&b) == Some(Ordering::Less);
+/// Windows must strictly increase; `partial_cmp` keeps NaN rejected.
+fn increases(a: f64, b: f64) -> bool {
+    a.partial_cmp(&b) == Some(std::cmp::Ordering::Less)
+}
+
+/// Reject a malformed site configuration: inverted or out-of-pool
+/// maintenance windows, zero-node or inverted quotas, a fault feed with a
+/// non-finite repair time or horizon.
+pub(crate) fn validate_config(cfg: &SiteConfig) -> Result<(), SchedError> {
     let pool_nodes = cfg.pool.nodes();
-    let legacy = cfg.engine == SchedEngine::LegacyFreeNode;
     for m in &cfg.calendar {
         if !increases(m.begin, m.end) || m.begin < 0.0 {
             return Err(SchedError::InvalidConfig {
@@ -1810,138 +1516,126 @@ pub(crate) fn validate(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<(), SchedE
             }
         }
     }
-    if legacy && !cfg.calendar.is_empty() {
-        return Err(SchedError::LegacyEngineUnsupported {
-            feature: "maintenance calendars",
-        });
-    }
-    if legacy && !cfg.quotas.is_empty() {
-        return Err(SchedError::LegacyEngineUnsupported {
-            feature: "per-project quotas",
-        });
-    }
-    if let Some(f) = &cfg.faults {
-        if !f.model.is_null() {
-            if legacy {
-                return Err(SchedError::LegacyEngineUnsupported {
-                    feature: "fault injection",
-                });
-            }
-            if !f.mttr_secs.is_finite() || f.mttr_secs < 0.0 {
-                return Err(SchedError::InvalidConfig {
-                    reason: format!("fault MTTR {} is not a finite duration", f.mttr_secs),
-                });
-            }
-            if !f.horizon_secs.is_finite() || f.horizon_secs <= 0.0 {
-                return Err(SchedError::InvalidConfig {
-                    reason: format!(
-                        "fault horizon {} is not a positive duration",
-                        f.horizon_secs
-                    ),
-                });
-            }
+    if let Some(f) = cfg.faults.as_ref().filter(|f| !f.model.is_null()) {
+        if !f.mttr_secs.is_finite() || f.mttr_secs < 0.0 {
+            return Err(SchedError::InvalidConfig {
+                reason: format!("fault MTTR {} is not a finite duration", f.mttr_secs),
+            });
+        }
+        if !f.horizon_secs.is_finite() || f.horizon_secs <= 0.0 {
+            return Err(SchedError::InvalidConfig {
+                reason: format!(
+                    "fault horizon {} is not a positive duration",
+                    f.horizon_secs
+                ),
+            });
         }
     }
-    for (i, j) in jobs.iter().enumerate() {
-        if legacy {
-            if !j.deps.is_empty() {
-                return Err(SchedError::LegacyEngineUnsupported {
-                    feature: "job dependencies",
-                });
-            }
-            if !j.shapes.is_empty() {
-                return Err(SchedError::LegacyEngineUnsupported {
-                    feature: "moldable jobs",
-                });
-            }
-            if j.start_at.is_some() {
-                return Err(SchedError::LegacyEngineUnsupported {
-                    feature: "advance reservations",
-                });
-            }
-        }
-        // Field sanity for the rigid view: every downstream `expect` on
-        // finite event times, walltimes and reservations leans on these
-        // rejections — a NaN or infinite time entering the event queue
-        // would otherwise panic deep inside a discipline.
-        if !j.runtime.is_finite() || j.runtime <= 0.0 {
+    Ok(())
+}
+
+/// Field sanity for job `i`'s rigid view: every downstream `expect` on
+/// finite event times, walltimes and reservations leans on these
+/// rejections — a NaN or infinite time entering the event queue would
+/// otherwise panic deep inside a discipline, or wake at the same instant
+/// forever.
+pub(crate) fn validate_times(i: usize, j: &SchedJob) -> Result<(), SchedError> {
+    let bad = |reason: String| Err(SchedError::InvalidJob { job: i, reason });
+    if !j.runtime.is_finite() || j.runtime <= 0.0 {
+        return bad(format!(
+            "runtime {} is not a positive finite duration",
+            j.runtime
+        ));
+    }
+    if !j.walltime.is_finite() || j.walltime <= 0.0 {
+        return bad(format!(
+            "walltime {} is not a positive finite duration",
+            j.walltime
+        ));
+    }
+    if !j.submit.is_finite() || j.submit < 0.0 {
+        return bad(format!(
+            "submit time {} is not finite and non-negative",
+            j.submit
+        ));
+    }
+    if !j.comm_fraction.is_finite() || !(0.0..=1.0).contains(&j.comm_fraction) {
+        return bad(format!(
+            "communication fraction {} outside [0, 1]",
+            j.comm_fraction
+        ));
+    }
+    Ok(())
+}
+
+/// Reject job `i` when it is malformed on its own or can never fit `cfg`:
+/// bad times, a zero or over-wide width (pool, rack-strict rack,
+/// windowless quota ceiling), or a bad moldable shape.
+pub(crate) fn validate_job(i: usize, j: &SchedJob, cfg: &SiteConfig) -> Result<(), SchedError> {
+    validate_times(i, j)?;
+    let pool_nodes = cfg.pool.nodes();
+    let widths: Vec<usize> = if j.shapes.is_empty() {
+        vec![j.nodes]
+    } else {
+        j.shapes.iter().map(|s| s.nodes).collect()
+    };
+    for &w in &widths {
+        if w == 0 {
             return Err(SchedError::InvalidJob {
                 job: i,
-                reason: format!("runtime {} is not a positive finite duration", j.runtime),
+                reason: "zero-node shape".to_string(),
             });
         }
-        if !j.walltime.is_finite() || j.walltime <= 0.0 {
-            return Err(SchedError::InvalidJob {
+        if w > pool_nodes {
+            return Err(SchedError::InsufficientNodes {
                 job: i,
-                reason: format!("walltime {} is not a positive finite duration", j.walltime),
+                need: w,
+                limit: pool_nodes,
             });
         }
-        if !j.submit.is_finite() || j.submit < 0.0 {
-            return Err(SchedError::InvalidJob {
+        // RackStrict can never place a job wider than one rack.
+        if cfg.placement == PlacementPolicy::RackStrict && w > cfg.pool.hierarchy().rack_size() {
+            return Err(SchedError::InsufficientNodes {
                 job: i,
-                reason: format!("submit time {} is not finite and non-negative", j.submit),
+                need: w,
+                limit: cfg.pool.hierarchy().rack_size(),
             });
         }
-        if !j.comm_fraction.is_finite() || !(0.0..=1.0).contains(&j.comm_fraction) {
-            return Err(SchedError::InvalidJob {
-                job: i,
-                reason: format!("communication fraction {} outside [0, 1]", j.comm_fraction),
-            });
-        }
-        let widths: Vec<usize> = if j.shapes.is_empty() {
-            vec![j.nodes]
-        } else {
-            j.shapes.iter().map(|s| s.nodes).collect()
-        };
-        for &w in &widths {
-            if w == 0 {
-                return Err(SchedError::InvalidJob {
-                    job: i,
-                    reason: "zero-node shape".to_string(),
-                });
-            }
-            if w > pool_nodes {
-                return Err(SchedError::InsufficientNodes {
-                    job: i,
-                    need: w,
-                    limit: pool_nodes,
-                });
-            }
-            // RackStrict can never place a job wider than one rack.
-            if cfg.placement == PlacementPolicy::RackStrict && w > cfg.pool.hierarchy().rack_size()
-            {
-                return Err(SchedError::InsufficientNodes {
-                    job: i,
-                    need: w,
-                    limit: cfg.pool.hierarchy().rack_size(),
-                });
-            }
-            // A windowless quota is a hard ceiling.
-            if let Some(p) = j.project {
-                for q in &cfg.quotas {
-                    if q.project == p && q.window.is_none() && w > q.max_nodes {
-                        return Err(SchedError::InsufficientNodes {
-                            job: i,
-                            need: w,
-                            limit: q.max_nodes,
-                        });
-                    }
+        // A windowless quota is a hard ceiling.
+        if let Some(p) = j.project {
+            for q in &cfg.quotas {
+                if q.project == p && q.window.is_none() && w > q.max_nodes {
+                    return Err(SchedError::InsufficientNodes {
+                        job: i,
+                        need: w,
+                        limit: q.max_nodes,
+                    });
                 }
             }
         }
-        for s in &j.shapes {
-            if !s.runtime.is_finite()
-                || !s.walltime.is_finite()
-                || !increases(0.0, s.runtime)
-                || s.walltime < s.runtime
-            {
-                return Err(SchedError::InvalidJob {
-                    job: i,
-                    reason: "shape with non-finite or non-positive runtime, or walltime < runtime"
-                        .to_string(),
-                });
-            }
+    }
+    for s in &j.shapes {
+        if !s.runtime.is_finite()
+            || !s.walltime.is_finite()
+            || !increases(0.0, s.runtime)
+            || s.walltime < s.runtime
+        {
+            return Err(SchedError::InvalidJob {
+                job: i,
+                reason: "shape with non-finite or non-positive runtime, or walltime < runtime"
+                    .to_string(),
+            });
         }
+    }
+    Ok(())
+}
+
+/// Validate a whole batch: the config, every job, the dependency indices
+/// and advance reservations, and the dependency DAG.
+pub(crate) fn validate(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<(), SchedError> {
+    validate_config(cfg)?;
+    for (i, j) in jobs.iter().enumerate() {
+        validate_job(i, j, cfg)?;
         if j.deps.iter().any(|&d| d >= jobs.len()) {
             return Err(SchedError::InvalidJob {
                 job: i,
@@ -1991,221 +1685,69 @@ pub(crate) fn validate(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<(), SchedE
     Ok(())
 }
 
-/// Run a job stream through one site's scheduler. Deterministic. Errors
-/// are typed: fragmentation under a strict placement on the legacy engine,
-/// unsatisfiable reservations, invalid configs — never a panic.
-pub fn simulate_site(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<SiteResult, SchedError> {
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Submit(usize),
-        /// A static calendar instant (maintenance end, quota window end,
-        /// reservation start, fault-window end): always valid, just
-        /// re-runs the scheduler.
-        Tick,
-        Wake(u64),
-        /// Unplanned `NodeCrash` window `k` of the pre-generated plan
-        /// begins: kill co-located work, carve out the repair window.
-        Crash(usize),
-        /// Fail-slow `NicDegrade` window `k` begins: drain, don't kill.
-        Degrade(usize),
-        /// `(job, node)`: a killed job's backoff delay has elapsed.
-        Requeue(usize, usize),
+/// The input slice as a job source: every job is admitted to the arena up
+/// front (ids are input indices, which dependencies and advance
+/// reservations refer to), and queued when simulation time reaches its
+/// submission, in `(SimTime, index)` order.
+struct SliceSource<'a> {
+    jobs: &'a [SchedJob],
+    arrivals: Arrivals,
+}
+
+impl JobSource for SliceSource<'_> {
+    fn peek(&self) -> Option<SimTime> {
+        self.arrivals.peek()
     }
+
+    fn admit(&mut self, now: f64, sites: &mut [SiteState]) -> Result<usize, SchedError> {
+        let i = self.arrivals.take();
+        let st = &mut sites[0];
+        st.advance(now);
+        if let Some(shape) = st.choose_shape(now, &self.jobs[i])? {
+            st.jobs[i].view.nodes = shape.nodes;
+            st.jobs[i].view.runtime = shape.runtime;
+            st.jobs[i].view.walltime = shape.walltime;
+        }
+        st.submit(i);
+        Ok(0)
+    }
+}
+
+/// Outcomes by arena id, which is the input index.
+struct VecSink(Vec<Option<JobOutcome>>);
+
+impl OutcomeSink for VecSink {
+    fn depart(&mut self, _site: usize, _st: &mut SiteState, job: usize, o: JobOutcome) {
+        self.0[job] = Some(o);
+    }
+}
+
+/// Run a job stream through one site's scheduler. Deterministic. Errors
+/// are typed: unsatisfiable reservations, invalid jobs and configs —
+/// never a panic.
+pub fn simulate_site(jobs: &[SchedJob], cfg: &SiteConfig) -> Result<SiteResult, SchedError> {
     validate(jobs, cfg)?;
-    let mut st = SiteState::new(
-        cfg.pool.clone(),
-        cfg.placement,
-        cfg.discipline,
-        cfg.contention,
-        cfg.engine,
-    );
+    let (mut st, mut statics) = driver::configure(cfg);
     for j in jobs {
         st.admit(j);
-    }
-    st.set_quotas(&cfg.quotas);
-    st.apply_calendar(&cfg.calendar);
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    // Static wake-ups: only instants that can *enable* a start need an
-    // event (window begins merely restrict, and are enforced inline).
-    if cfg.engine == SchedEngine::SlotSet {
-        for m in &cfg.calendar {
-            q.push(SimTime::from_secs_f64(m.end), Ev::Tick);
-        }
-        for rule in &cfg.quotas {
-            if let Some((_, e)) = rule.window {
-                q.push(SimTime::from_secs_f64(e), Ev::Tick);
-            }
-        }
-    }
-    // Pre-generate the unplanned-fault plan: a pure function of
-    // (model, pool, horizon, seed), so two runs at the same seed replay
-    // the identical timeline. A null model leaves `faults_active` off and
-    // every fault branch below dead — the zero-fault path is the old path
-    // bit for bit.
-    let mut crashes: Vec<(f64, f64, usize)> = Vec::new();
-    let mut degrades: Vec<(f64, f64, usize)> = Vec::new();
-    let mut requeue = RequeuePolicy::default();
-    if let Some(f) = cfg.faults.as_ref().filter(|f| !f.model.is_null()) {
-        st.attach_faults();
-        requeue = f.requeue;
-        let plan = FaultSchedule::generate(
-            &f.model,
-            cfg.pool.nodes(),
-            SimDur::from_secs_f64(f.horizon_secs),
-            f.seed,
-        );
-        for w in plan.windows() {
-            let (start, end) = (w.start.as_secs_f64(), w.end.as_secs_f64());
-            match w.kind {
-                FaultKind::NodeCrash => crashes.push((start, end.max(start + f.mttr_secs), w.node)),
-                FaultKind::NicDegrade { .. } => degrades.push((start, end, w.node)),
-                // Steal storms, brownouts, spot revocation and SDC act at
-                // the engine/burst level, not on the slot timeline.
-                _ => {}
-            }
-        }
-        for (k, &(start, repair_end, _)) in crashes.iter().enumerate() {
-            q.push(SimTime::from_secs_f64(start), Ev::Crash(k));
-            q.push(SimTime::from_secs_f64(repair_end), Ev::Tick);
-        }
-        for (k, &(start, end, _)) in degrades.iter().enumerate() {
-            q.push(SimTime::from_secs_f64(start), Ev::Degrade(k));
-            q.push(SimTime::from_secs_f64(end), Ev::Tick);
-        }
     }
     for (i, j) in jobs.iter().enumerate() {
         if let Some(start) = j.start_at {
             let v = st.jobs[i].view;
             st.register_advance(i, start, &v)?;
-            q.push(SimTime::from_secs_f64(start), Ev::Tick);
-        }
-        q.push(SimTime::from_secs_f64(j.submit), Ev::Submit(i));
-    }
-    let mut out: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-    while let Some((t, ev)) = q.pop() {
-        let now = t.as_secs_f64();
-        match ev {
-            Ev::Submit(i) => {
-                st.advance(now);
-                if let Some(shape) = st.choose_shape(now, &jobs[i])? {
-                    st.jobs[i].view.nodes = shape.nodes;
-                    st.jobs[i].view.runtime = shape.runtime;
-                    st.jobs[i].view.walltime = shape.walltime;
-                }
-                st.submit(i);
-            }
-            Ev::Tick => st.advance(now),
-            Ev::Wake(gen) => {
-                if gen != st.wake_gen {
-                    continue;
-                }
-                st.advance(now);
-            }
-            Ev::Crash(k) => {
-                st.advance(now);
-                let (_, repair_end, node) = crashes[k];
-                for (job, start, remaining, nodes) in st.crash_node(now, repair_end, node) {
-                    st.fault_stats.kills += 1;
-                    st.fault_events.push(FaultEvent {
-                        t: now,
-                        action: FaultAction::Kill,
-                        node,
-                        job: Some(job),
-                    });
-                    let v = st.jobs[job].view;
-                    let done = (v.runtime - remaining).max(0.0);
-                    let retained = requeue.checkpoint.map_or(0.0, |ck| ck.retained(done));
-                    let lost = (done - retained).max(0.0);
-                    st.jobs[job].fault_loss += lost;
-                    st.fault_stats.work_lost_s += lost;
-                    st.fault_stats.work_salvaged_s += retained;
-                    st.jobs[job].kills += 1;
-                    let attempt = st.jobs[job].kills;
-                    if attempt > requeue.retry.max_retries {
-                        // Retry budget exhausted: the job fails for good.
-                        st.jobs[job].departed = true;
-                        out[job] = Some(JobOutcome {
-                            id: jobs[job].id,
-                            start,
-                            end: now,
-                            wait: (start - v.submit).max(0.0),
-                            inflation: ((now - start) - v.runtime).max(0.0),
-                            completed: false,
-                            nodes,
-                            requeues: attempt,
-                            fault_loss_s: st.jobs[job].fault_loss,
-                        });
-                    } else {
-                        if retained > 0.0 {
-                            // Checkpoint credit: the rerun owes only the
-                            // un-checkpointed remainder plus the restore
-                            // cost. The walltime is a static upper bound
-                            // and never shrinks with it.
-                            let restore = requeue.checkpoint.map_or(0.0, |ck| ck.restore_cost);
-                            st.jobs[job].view.runtime = (v.runtime - retained + restore).max(EPS);
-                        }
-                        let delay = requeue.retry.delay_before(attempt);
-                        q.push(SimTime::from_secs_f64(now + delay), Ev::Requeue(job, node));
-                    }
-                }
-            }
-            Ev::Degrade(k) => {
-                st.advance(now);
-                let (_, end, node) = degrades[k];
-                st.degrade_node(now, end, node);
-            }
-            Ev::Requeue(job, node) => {
-                st.advance(now);
-                st.fault_stats.requeues += 1;
-                st.fault_events.push(FaultEvent {
-                    t: now,
-                    action: FaultAction::Requeue,
-                    node,
-                    job: Some(job),
-                });
-                // Deps were already satisfied when the job first started;
-                // it re-enters the queue as a fresh arrival at the tail.
-                st.queue.push_back(job);
-            }
-        }
-        for dep in st.departures(now) {
-            let (job, start, end, nodes, completed) = match dep {
-                Departure::Completed {
-                    job,
-                    start,
-                    end,
-                    nodes,
-                } => (job, start, end, nodes, true),
-                Departure::Killed {
-                    job,
-                    start,
-                    end,
-                    nodes,
-                } => (job, start, end, nodes, false),
-            };
-            out[job] = Some(JobOutcome {
-                id: jobs[job].id,
-                start,
-                end,
-                wait: (start - st.jobs[job].view.submit).max(0.0),
-                inflation: ((end - start) - st.jobs[job].view.runtime).max(0.0),
-                completed,
-                nodes,
-                requeues: st.jobs[job].kills,
-                fault_loss_s: st.jobs[job].fault_loss,
-            });
-        }
-        st.heal(now);
-        st.start_due_advance(now)?;
-        st.try_start(now)?;
-        st.started.clear();
-        st.recompute_rates();
-        st.wake_gen += 1;
-        if let Some(te) = st.next_event() {
-            q.push(SimTime::from_secs_f64(te.max(now)), Ev::Wake(st.wake_gen));
+            statics.push((start, Ev::Tick(0)));
         }
     }
-    let outcomes: Vec<JobOutcome> = out
+    let mut source = SliceSource {
+        jobs,
+        arrivals: Arrivals::new(jobs.iter().map(|j| j.submit)),
+    };
+    let mut sink = VecSink(vec![None; jobs.len()]);
+    let mut sites = [st];
+    driver::run(&mut sites, statics, &mut source, &mut sink)?;
+    let [mut st] = sites;
+    let outcomes: Vec<JobOutcome> = sink
+        .0
         .into_iter()
         .map(|o| o.expect("every job departs"))
         .collect();
@@ -2239,67 +1781,6 @@ mod tests {
             d,
             ContentionParams::NONE,
         )
-    }
-
-    /// The canonical head-delay scenario: J0 holds 6/8 nodes until t=100;
-    /// J1 (head) needs all 8; J2 is a 2-node, 150 s job.
-    fn head_delay_jobs() -> Vec<SchedJob> {
-        let mut j0 = SchedJob::new(0, 6, 0.0, 100.0, 0.0);
-        j0.walltime = 100.0;
-        let mut j1 = SchedJob::new(1, 8, 1.0, 50.0, 0.0);
-        j1.walltime = 50.0;
-        let mut j2 = SchedJob::new(2, 2, 2.0, 150.0, 0.0);
-        j2.walltime = 150.0;
-        vec![j0, j1, j2]
-    }
-
-    #[test]
-    fn easy_rejects_head_delaying_backfill() {
-        let r = simulate_site(&head_delay_jobs(), &cfg(8, 8, Discipline::Easy)).unwrap();
-        // J2 must not backfill (ends at 152 > shadow 100, uses head nodes):
-        // head starts exactly at the shadow.
-        assert!((r.outcomes[1].start - 100.0).abs() < 1e-6, "{r:?}");
-        assert_eq!(r.head_delay_violations, 0);
-        // J2 runs after the head.
-        assert!(r.outcomes[2].start >= 150.0 - 1e-6);
-    }
-
-    #[test]
-    fn naive_backfill_delays_the_head() {
-        let r = simulate_site(&head_delay_jobs(), &cfg(8, 8, Discipline::NaiveBackfill)).unwrap();
-        // The naive rule starts J2 at t=2 on free nodes; the head can then
-        // only start when J2 ends at t=152.
-        assert!((r.outcomes[2].start - 2.0).abs() < 1e-6, "{r:?}");
-        assert!((r.outcomes[1].start - 152.0).abs() < 1e-6, "{r:?}");
-        assert_eq!(r.head_delay_violations, 1);
-    }
-
-    #[test]
-    fn easy_backfills_within_the_shadow_window() {
-        let mut jobs = head_delay_jobs();
-        // A 2-node job short enough to finish before the shadow.
-        jobs[2].runtime = 50.0;
-        jobs[2].walltime = 50.0;
-        let r = simulate_site(&jobs, &cfg(8, 8, Discipline::Easy)).unwrap();
-        assert!((r.outcomes[2].start - 2.0).abs() < 1e-6, "{r:?}");
-        assert!((r.outcomes[1].start - 100.0).abs() < 1e-6, "{r:?}");
-        assert_eq!(r.head_delay_violations, 0);
-    }
-
-    #[test]
-    fn conservative_honours_every_reservation() {
-        let r = simulate_site(&head_delay_jobs(), &cfg(8, 8, Discipline::Conservative)).unwrap();
-        assert_eq!(r.head_delay_violations, 0);
-        // Conservative reserves J2 behind both: starts at 150.
-        assert!((r.outcomes[1].start - 100.0).abs() < 1e-6, "{r:?}");
-        assert!((r.outcomes[2].start - 150.0).abs() < 1e-6, "{r:?}");
-    }
-
-    #[test]
-    fn fcfs_blocks_behind_the_head() {
-        let r = simulate_site(&head_delay_jobs(), &cfg(8, 8, Discipline::Fcfs)).unwrap();
-        assert!((r.outcomes[1].start - 100.0).abs() < 1e-6);
-        assert!((r.outcomes[2].start - 150.0).abs() < 1e-6);
     }
 
     #[test]
@@ -2396,31 +1877,7 @@ mod tests {
         assert!(easy.makespan <= fcfs.makespan + 1e-6);
     }
 
-    // -- Engine equivalence and the new capabilities ----------------------
-
-    #[test]
-    fn slot_engine_matches_the_legacy_oracle_on_a_seeded_mix() {
-        let jobs = crate::job::lublin_mix(80, 16, 1.2, 7);
-        for d in [
-            Discipline::Fcfs,
-            Discipline::Easy,
-            Discipline::Conservative,
-            Discipline::NaiveBackfill,
-        ] {
-            let slot = simulate_site(&jobs, &cfg(16, 4, d)).unwrap();
-            let legacy = simulate_site(
-                &jobs,
-                &cfg(16, 4, d).with_engine(SchedEngine::LegacyFreeNode),
-            )
-            .unwrap();
-            assert_eq!(slot.head_delay_violations, legacy.head_delay_violations);
-            for (a, b) in slot.outcomes.iter().zip(&legacy.outcomes) {
-                assert_eq!(a.start, b.start, "{} job {}", d.name(), a.id);
-                assert_eq!(a.end, b.end, "{} job {}", d.name(), a.id);
-                assert_eq!(a.nodes, b.nodes);
-            }
-        }
-    }
+    // -- Calendars and contracts -----------------------------------------
 
     #[test]
     fn maintenance_window_forces_a_wait() {
@@ -2531,32 +1988,6 @@ mod tests {
         assert!(r.outcomes[0].completed && r.outcomes[1].completed);
     }
 
-    #[test]
-    fn legacy_engine_rejects_the_new_capabilities() {
-        let dep = vec![
-            SchedJob::new(0, 1, 0.0, 10.0, 0.0),
-            SchedJob::new(1, 1, 0.0, 10.0, 0.0).with_deps(&[0]),
-        ];
-        let legacy = cfg(8, 8, Discipline::Easy).with_engine(SchedEngine::LegacyFreeNode);
-        assert!(matches!(
-            simulate_site(&dep, &legacy),
-            Err(SchedError::LegacyEngineUnsupported {
-                feature: "job dependencies"
-            })
-        ));
-        let quota_cfg = cfg(8, 8, Discipline::Easy)
-            .with_engine(SchedEngine::LegacyFreeNode)
-            .with_quota(QuotaRule {
-                project: 0,
-                max_nodes: 4,
-                window: None,
-            });
-        assert!(matches!(
-            simulate_site(&[SchedJob::new(0, 1, 0.0, 10.0, 0.0)], &quota_cfg),
-            Err(SchedError::LegacyEngineUnsupported { .. })
-        ));
-    }
-
     // -- Unplanned faults -------------------------------------------------
 
     /// A fail-stop-only model hot enough that an hour-long batch on a
@@ -2583,7 +2014,7 @@ mod tests {
 
     #[test]
     fn null_fault_model_is_bitwise_inert() {
-        let jobs = head_delay_jobs();
+        let jobs = fault_jobs(8);
         let base = simulate_site(&jobs, &cfg(8, 8, Discipline::Easy)).unwrap();
         let nulled = cfg(8, 8, Discipline::Easy)
             .with_faults(SiteFaults::new(sim_faults::FaultModel::none(), 42));
@@ -2595,24 +2026,6 @@ mod tests {
         }
         assert!(r.fault_events.is_empty());
         assert_eq!(r.fault_stats, FaultStats::default());
-    }
-
-    #[test]
-    fn fault_runs_are_bit_identical_per_seed() {
-        let jobs = fault_jobs(12);
-        let mk = || {
-            cfg(8, 4, Discipline::Easy)
-                .with_faults(SiteFaults::new(crashy_model(), 7).with_mttr(300.0))
-        };
-        let a = simulate_site(&jobs, &mk()).unwrap();
-        let b = simulate_site(&jobs, &mk()).unwrap();
-        assert!(a.fault_stats.crashes > 0, "model not hot enough: {a:?}");
-        assert_eq!(a.fault_stats, b.fault_stats);
-        assert_eq!(a.fault_events, b.fault_events);
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.start.to_bits(), y.start.to_bits());
-            assert_eq!(x.end.to_bits(), y.end.to_bits());
-        }
     }
 
     #[test]
@@ -2710,14 +2123,8 @@ mod tests {
 
     #[test]
     fn node_health_lifecycle_transitions() {
-        let mut st = SiteState::new(
-            NodePool::new(4, 4),
-            PlacementPolicy::Packed,
-            Discipline::Easy,
-            ContentionParams::NONE,
-            SchedEngine::SlotSet,
-        );
-        st.attach_faults();
+        let mut st = SiteState::new(&cfg(4, 4, Discipline::Easy));
+        st.attach_faults(&SiteFaults::new(sim_faults::FaultModel::none(), 0));
         assert_eq!(st.node_health(0), NodeHealth::Healthy);
         // Degrade an idle node: Suspect, then Healthy once it expires.
         st.degrade_node(0.0, 50.0, 1);
@@ -2739,15 +2146,32 @@ mod tests {
     }
 
     #[test]
-    fn faults_on_legacy_engine_are_rejected() {
-        let c = cfg(8, 8, Discipline::Easy)
-            .with_engine(SchedEngine::LegacyFreeNode)
-            .with_faults(SiteFaults::new(crashy_model(), 1));
-        assert!(matches!(
-            simulate_site(&fault_jobs(2), &c),
-            Err(SchedError::LegacyEngineUnsupported {
-                feature: "fault injection"
-            })
-        ));
+    fn a_start_after_its_pinned_quote_is_a_head_delay() {
+        // Two 2-node jobs on an idle 4-node site, each pinned to a quote
+        // at t=5: the one started on its quote keeps the promise, the one
+        // started at t=8 breaks it.
+        let mut st = SiteState::new(&cfg(4, 4, Discipline::Fcfs));
+        let on_time = st.admit(&SchedJob::new(0, 2, 0.0, 10.0, 0.0));
+        let late = st.admit(&SchedJob::new(1, 2, 0.0, 10.0, 0.0));
+        for job in [on_time, late] {
+            st.jobs[job].reserved = Some(5.0);
+        }
+        st.submit(on_time);
+        st.advance(5.0);
+        st.try_start(5.0).unwrap();
+        assert_eq!(st.running.len(), 1);
+        assert_eq!(
+            st.head_delay_violations, 0,
+            "a start on the quote is on time"
+        );
+        st.submit(late);
+        st.advance(8.0);
+        st.try_start(8.0).unwrap();
+        assert_eq!(st.running.len(), 2);
+        assert_eq!(
+            st.head_delay_violations, 1,
+            "a start after the quote is late"
+        );
+        assert_eq!(st.reservations(), vec![(on_time, 5.0), (late, 5.0)]);
     }
 }

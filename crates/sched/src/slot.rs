@@ -5,11 +5,9 @@
 //! A [`ProcSet`] is a compact sorted set of resource ids (nodes, in this
 //! scheduler's granularity) stored as inclusive runs. A [`SlotSet`] is a
 //! time-ordered list of [`Slot`]s covering `[begin, +inf)` with no gaps and
-//! no overlaps; each slot carries the **hard** availability over its time
-//! interval (`avail`: the exact procs free for placement) plus a **soft**
-//! count of held nodes (`held`: capacity promised to reservations that have
-//! not yet been pinned to specific procs). Slot *split* and *merge* are the
-//! only mutation primitives — every reservation, maintenance window or
+//! no overlaps; each slot carries the availability over its time interval
+//! (`avail`: the exact procs free for placement). Slot *split* and *merge*
+//! are the only mutation primitives — every reservation, maintenance window or
 //! release is materialized by splitting the affected interval out and
 //! editing its copy, never by patching times in place.
 //!
@@ -19,14 +17,11 @@
 //!   slots[i+1].begin`, and `slots.last().end == +inf`;
 //! * slots never overlap (immediate from contiguity);
 //! * after [`SlotSet::merge`], slots are *maximal*: no two neighbours carry
-//!   the same `(avail, held)` pair.
+//!   the same `avail`.
 //!
-//! The **effective** capacity of a slot is `avail.len() - held`. Count
-//! profiles derived from the slot walk ([`SlotSet::count_points`]) feed the
-//! same earliest-fit scan the legacy free-node engine used
-//! ([`earliest_fit`]), which is what lets the slot-set engine reproduce its
-//! schedules bit-for-bit while also expressing things the old engine could
-//! not (advance reservations, maintenance calendars, per-project quotas).
+//! Count profiles walked off the slots — `(slot begin, free node count)`
+//! breakpoints — feed the earliest-fit scan ([`earliest_fit`]) behind every
+//! reservation quote.
 
 /// Tolerance for event-time comparisons (seconds). Shared with the site
 /// engine: covers the sub-ns residue of f64 -> `SimTime` grid rounding with
@@ -189,21 +184,19 @@ impl ProcSet {
     }
 }
 
-/// One interval of the slot walk: the hard availability (`avail`) over
-/// `[begin, end)` plus a soft count of capacity promised to not-yet-placed
-/// reservations (`held`). Effective capacity is `avail.len() - held`.
+/// One interval of the slot walk: the availability (`avail`) over
+/// `[begin, end)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Slot {
     pub begin: f64,
     pub end: f64,
     pub avail: ProcSet,
-    pub held: i64,
 }
 
 impl Slot {
-    /// Effective schedulable node count over this interval.
+    /// Schedulable node count over this interval.
     pub fn effective(&self) -> i64 {
-        self.avail.len() as i64 - self.held
+        self.avail.len() as i64
     }
 }
 
@@ -222,17 +215,12 @@ impl SlotSet {
                 begin,
                 end: f64::INFINITY,
                 avail,
-                held: 0,
             }],
         }
     }
 
     pub fn slots(&self) -> &[Slot] {
         &self.slots
-    }
-
-    pub fn begin(&self) -> f64 {
-        self.slots[0].begin
     }
 
     /// Index of the slot containing `t` (clamped to the first slot for
@@ -258,13 +246,13 @@ impl SlotSet {
         i + 1
     }
 
-    /// Coalesce neighbours with identical `(avail, held)` back into
-    /// maximal slots — the inverse of [`split_at`](Self::split_at).
+    /// Coalesce neighbours with identical `avail` back into maximal slots
+    /// — the inverse of [`split_at`](Self::split_at).
     pub fn merge(&mut self) {
         let mut out: Vec<Slot> = Vec::with_capacity(self.slots.len());
         for s in self.slots.drain(..) {
             match out.last_mut() {
-                Some(last) if last.avail == s.avail && last.held == s.held => last.end = s.end,
+                Some(last) if last.avail == s.avail => last.end = s.end,
                 _ => out.push(s),
             }
         }
@@ -283,8 +271,8 @@ impl SlotSet {
         (i0, i1)
     }
 
-    /// Remove `procs` from the hard availability over `[b, e)` (a running
-    /// job's placement, a maintenance window).
+    /// Remove `procs` from the availability over `[b, e)` (a running job's
+    /// placement, a maintenance window).
     pub fn sub_window(&mut self, b: f64, e: f64, procs: &ProcSet) {
         let (i0, i1) = self.window_indices(b, e);
         for s in &mut self.slots[i0..i1] {
@@ -292,20 +280,11 @@ impl SlotSet {
         }
     }
 
-    /// Return `procs` to the hard availability over `[b, e)` (a release).
+    /// Return `procs` to the availability over `[b, e)` (a release).
     pub fn add_window(&mut self, b: f64, e: f64, procs: &ProcSet) {
         let (i0, i1) = self.window_indices(b, e);
         for s in &mut self.slots[i0..i1] {
             s.avail = s.avail.union(procs);
-        }
-    }
-
-    /// Soft-hold `n` nodes of capacity over `[b, e)` without pinning procs
-    /// (a reservation quoted by count, not yet placed).
-    pub fn hold_window(&mut self, b: f64, e: f64, n: i64) {
-        let (i0, i1) = self.window_indices(b, e);
-        for s in &mut self.slots[i0..i1] {
-            s.held += n;
         }
     }
 
@@ -316,17 +295,12 @@ impl SlotSet {
         self.slots.drain(..i);
     }
 
-    /// Hard availability at time `t`.
+    /// Availability at time `t`.
     pub fn avail_at(&self, t: f64) -> &ProcSet {
         &self.slots[self.index_at(t)].avail
     }
 
-    /// Effective capacity at time `t`.
-    pub fn effective_at(&self, t: f64) -> i64 {
-        self.slots[self.index_at(t)].effective()
-    }
-
-    /// Intersection of the hard availability over every slot overlapping
+    /// Intersection of the availability over every slot overlapping
     /// `[b, e)`: the procs a job placed on `[b, e)` may use.
     pub fn window_avail(&self, b: f64, e: f64) -> ProcSet {
         let i = self.index_at(b);
@@ -338,33 +312,6 @@ impl SlotSet {
             acc = acc.intersect(&s.avail);
         }
         acc
-    }
-
-    /// The effective-capacity step profile as `(time, level)` breakpoints,
-    /// with breakpoints within [`EPS`] merged exactly the way the legacy
-    /// free-node `Profile` merged its deltas (first time kept, last level
-    /// wins) — conservative-backfill quotes fed from this reproduce the
-    /// legacy engine's bit-for-bit.
-    pub fn count_points(&self) -> Vec<(f64, i64)> {
-        let mut pts: Vec<(f64, i64)> = Vec::with_capacity(self.slots.len());
-        for s in &self.slots {
-            let eff = s.effective();
-            match pts.last_mut() {
-                Some((t, lvl)) if (s.begin - *t).abs() <= EPS => *lvl = eff,
-                _ => pts.push((s.begin, eff)),
-            }
-        }
-        pts
-    }
-
-    /// The effective-capacity step profile with *no* EPS merging: exact
-    /// slot boundaries. The EASY shadow scan uses this (the legacy EASY
-    /// reservation walked unmerged release times).
-    pub fn count_points_exact(&self) -> Vec<(f64, i64)> {
-        self.slots
-            .iter()
-            .map(|s| (s.begin, s.effective()))
-            .collect()
     }
 }
 
@@ -378,10 +325,8 @@ pub fn level_at(points: &[(f64, i64)], t: f64) -> i64 {
 /// Earliest start at which `need` nodes stay available for `dur` seconds,
 /// over a `(time, level)` step profile. Candidate starts are breakpoints;
 /// on a violation inside the window the candidate jumps past the violating
-/// breakpoint. Exactly the legacy free-node `Profile::earliest` scan;
-/// returns `None` when the profile never sustains `need` for `dur` (the
-/// legacy scan's unreachable arm, reachable here once maintenance windows
-/// or quotas shape the horizon).
+/// breakpoint. Returns `None` when the profile never sustains `need` for
+/// `dur` (reachable once maintenance windows or quotas shape the horizon).
 pub fn earliest_fit(points: &[(f64, i64)], need: i64, dur: f64) -> Option<f64> {
     let n = points.len();
     let mut i = 0;
@@ -402,24 +347,6 @@ pub fn earliest_fit(points: &[(f64, i64)], need: i64, dur: f64) -> Option<f64> {
         }
     }
     None
-}
-
-/// `true` when `need` nodes stay available for `dur` seconds starting at
-/// `t` (which need not be a breakpoint).
-pub fn window_fits(points: &[(f64, i64)], t: f64, dur: f64, need: i64) -> bool {
-    if level_at(points, t) < need {
-        return false;
-    }
-    let start = points.partition_point(|p| p.0 <= t + EPS);
-    for p in &points[start..] {
-        if p.0 >= t + dur - EPS {
-            break;
-        }
-        if p.1 < need {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -470,16 +397,12 @@ mod tests {
     fn windows_edit_only_their_interval() {
         let mut ss = SlotSet::new(0.0, ProcSet::range(0, 7));
         ss.sub_window(10.0, 20.0, &ProcSet::range(0, 3));
-        ss.hold_window(15.0, 30.0, 2);
         assert_eq!(ss.avail_at(5.0).len(), 8);
         assert_eq!(ss.avail_at(12.0).len(), 4);
-        assert_eq!(ss.effective_at(16.0), 2); // 4 avail - 2 held
-        assert_eq!(ss.effective_at(25.0), 6); // 8 avail - 2 held
-        assert_eq!(ss.effective_at(35.0), 8);
+        assert_eq!(ss.avail_at(25.0).len(), 8);
         assert_eq!(ss.window_avail(5.0, 12.0), ProcSet::range(4, 7));
         assert_eq!(ss.window_avail(20.0, 40.0), ProcSet::range(0, 7));
         ss.add_window(10.0, 20.0, &ProcSet::range(0, 3));
-        ss.hold_window(15.0, 30.0, -2);
         ss.merge();
         assert_eq!(ss.slots().len(), 1, "round-trip restores the free set");
         assert_eq!(ss.slots()[0].avail, ProcSet::range(0, 7));
@@ -490,12 +413,12 @@ mod tests {
         let mut ss = SlotSet::new(0.0, ProcSet::range(0, 3));
         ss.sub_window(0.0, 10.0, &ProcSet::range(0, 1));
         ss.truncate_before(10.0);
-        assert_eq!(ss.begin(), 10.0);
+        assert_eq!(ss.slots()[0].begin, 10.0);
         assert_eq!(ss.avail_at(10.0).len(), 4);
     }
 
     #[test]
-    fn earliest_fit_matches_the_legacy_scan_shape() {
+    fn earliest_fit_scans_breakpoints_and_clears_dips() {
         // free 2 now, 6 at t=100, 8 at t=250.
         let pts = vec![(0.0, 2), (100.0, 6), (250.0, 8)];
         assert_eq!(earliest_fit(&pts, 2, 50.0), Some(0.0));
@@ -510,8 +433,6 @@ mod tests {
             Some(200.0),
             "window clears the dip"
         );
-        assert!(window_fits(&dip, 30.0, 50.0, 4));
-        assert!(!window_fits(&dip, 60.0, 50.0, 4));
         assert_eq!(level_at(&dip, 150.0), 2);
     }
 }

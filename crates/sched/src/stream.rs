@@ -4,24 +4,18 @@
 //! materialises a `Vec` of outcomes — O(trace) resident memory twice
 //! over, before the scheduler has placed a single job. This driver takes
 //! the jobs as an *iterator* (pair it with [`crate::job::LublinMix`] and
-//! the trace never exists in memory at all), injects each arrival into
-//! the event loop when simulation time reaches it, reports outcomes
-//! through a callback as jobs depart, and retires each job's arena record
-//! once its outcome is final. Memory tracks the number of *live* jobs —
-//! queued, running, or awaiting a crash requeue — not the trace length;
+//! the trace never exists in memory at all) and runs the same event loop
+//! (the `driver` module) with a lazy source: each arrival is injected when
+//! simulation time reaches it, each outcome goes to a callback as the job
+//! departs, and the job's arena record is retired once its outcome is
+//! final. Memory tracks the number of *live* jobs — queued, running, or
+//! awaiting a crash requeue — not the trace length;
 //! [`StreamStats::peak_live_jobs`] is the witness.
 //!
-//! ## Equivalence to the batch driver
-//!
 //! For the same job sequence the per-job outcomes are bit-identical to
-//! `simulate_site` (the tests zip the two). The one delicate point is
-//! event order at equal timestamps: the batch driver's queue buckets are
-//! FIFO, and it pushes all static calendar/fault events, then every
-//! submit, before the first dynamic wake exists — so a tied bucket drains
-//! as `[statics][submits][dynamics]`. The stream keeps a count of pending
-//! static events per instant and injects an arrival tied with the queue
-//! head exactly when no static remains at that instant: before any
-//! same-time dynamic event, after every same-time static.
+//! `simulate_site`: both are one loop, and its tie-break at equal
+//! timestamps (statics, then arrivals, then wakes and requeues) never
+//! needs the arrivals in the event queue.
 //!
 //! ## What the stream rejects
 //!
@@ -31,15 +25,11 @@
 //! stay batch-only and are rejected per job, with typed errors, as are
 //! arrivals that go back in time.
 
+use crate::driver::{self, JobSource, OutcomeSink};
 use crate::error::SchedError;
 use crate::job::SchedJob;
-use crate::site::{
-    validate, Departure, FaultAction, FaultEvent, FaultStats, JobOutcome, RequeuePolicy,
-    SchedEngine, SiteConfig, SiteState,
-};
-use sim_des::{EventQueue, SimDur, SimTime};
-use sim_faults::{FaultKind, FaultSchedule};
-use std::collections::HashMap;
+use crate::site::{validate_config, validate_job, FaultStats, JobOutcome, SiteConfig, SiteState};
+use sim_des::SimTime;
 
 /// Aggregates of one streamed run. Per-job detail goes through the
 /// `on_outcome` callback (in departure order — the stream holds no
@@ -53,7 +43,7 @@ pub struct StreamStats {
     pub completed: usize,
     /// Last departure minus first arrival; 0 for an empty trace.
     pub makespan: f64,
-    /// Mean queue wait, accumulated in departure order (the batch driver
+    /// Mean queue wait, accumulated in departure order (the batch run
     /// sums in submission order, so the two may differ in the last ulps;
     /// per-job waits are bit-identical).
     pub mean_wait: f64,
@@ -69,56 +59,87 @@ pub struct StreamStats {
     pub fault_stats: FaultStats,
 }
 
-enum Ev {
-    /// A static calendar instant (maintenance end, quota window end,
-    /// fault-window begin/end): always valid, just re-runs the scheduler.
-    Tick,
-    Wake(u64),
-    /// Unplanned `NodeCrash` window `k` of the pre-generated plan begins.
-    Crash(usize),
-    /// Fail-slow `NicDegrade` window `k` begins: drain, don't kill.
-    Degrade(usize),
-    /// `(job, node)`: a killed job's backoff delay has elapsed.
-    Requeue(usize, usize),
+/// An iterator as a job source: each job is validated when fetched, then
+/// admitted and queued when simulation time reaches its submission.
+struct LazySource<'c, I> {
+    jobs: I,
+    cfg: &'c SiteConfig,
+    next: Option<(SimTime, SchedJob)>,
+    n_jobs: usize,
+    last_submit: f64,
+    first_submit: f64,
 }
 
-/// Per-arrival validation: the batch checks that apply to one job in
-/// isolation, plus the stream's own restrictions.
-fn validate_job(
-    n: usize,
-    j: &SchedJob,
-    cfg: &SiteConfig,
-    last_submit: f64,
-) -> Result<(), SchedError> {
-    if !j.deps.is_empty() || !j.shapes.is_empty() || j.start_at.is_some() {
-        return Err(SchedError::InvalidJob {
-            job: n,
-            reason: "streaming runs take rigid batch jobs only (no deps, shapes, or reservations)"
-                .to_string(),
-        });
+impl<I: Iterator<Item = SchedJob>> LazySource<'_, I> {
+    /// Fetch and validate the next job: the per-job batch checks, plus the
+    /// stream's own restrictions.
+    fn fetch(&mut self) -> Result<(), SchedError> {
+        self.next = None;
+        let Some(j) = self.jobs.next() else {
+            return Ok(());
+        };
+        let n = self.n_jobs;
+        if !j.deps.is_empty() || !j.shapes.is_empty() || j.start_at.is_some() {
+            return Err(SchedError::InvalidJob {
+                job: n,
+                reason:
+                    "streaming runs take rigid batch jobs only (no deps, shapes, or reservations)"
+                        .to_string(),
+            });
+        }
+        validate_job(n, &j, self.cfg)?;
+        if j.submit < self.last_submit {
+            return Err(SchedError::InvalidJob {
+                job: n,
+                reason: format!(
+                    "stream arrivals must be non-decreasing ({} after {})",
+                    j.submit, self.last_submit
+                ),
+            });
+        }
+        self.last_submit = j.submit;
+        self.next = Some((SimTime::from_secs_f64(j.submit), j));
+        Ok(())
     }
-    // One-element batch validation covers field sanity, pool width, the
-    // rack-strict ceiling and windowless quota ceilings; the job index in
-    // its errors is 0, so rewrite it to the stream position.
-    validate(std::slice::from_ref(j), cfg).map_err(|e| match e {
-        SchedError::InvalidJob { reason, .. } => SchedError::InvalidJob { job: n, reason },
-        SchedError::InsufficientNodes { need, limit, .. } => SchedError::InsufficientNodes {
-            job: n,
-            need,
-            limit,
-        },
-        other => other,
-    })?;
-    if j.submit < last_submit {
-        return Err(SchedError::InvalidJob {
-            job: n,
-            reason: format!(
-                "stream arrivals must be non-decreasing ({} after {last_submit})",
-                j.submit
-            ),
-        });
+}
+
+impl<I: Iterator<Item = SchedJob>> JobSource for LazySource<'_, I> {
+    fn peek(&self) -> Option<SimTime> {
+        self.next.as_ref().map(|(t, _)| *t)
     }
-    Ok(())
+
+    fn admit(&mut self, now: f64, sites: &mut [SiteState]) -> Result<usize, SchedError> {
+        let (_, j) = self.next.take().expect("peeked an arrival");
+        let st = &mut sites[0];
+        st.advance(now);
+        self.first_submit = self.first_submit.min(j.submit);
+        let id = st.admit(&j);
+        st.submit(id);
+        self.n_jobs += 1;
+        self.fetch()?;
+        Ok(0)
+    }
+}
+
+/// Reports each outcome as it becomes final, folds it into the stats and
+/// retires the job's record.
+struct Report<F> {
+    on_outcome: F,
+    completed: usize,
+    last_end: f64,
+    wait_sum: f64,
+    total_inflation: f64,
+}
+
+impl<F: FnMut(&JobOutcome)> OutcomeSink for Report<F> {
+    fn depart(&mut self, _site: usize, st: &mut SiteState, job: usize, o: JobOutcome) {
+        self.last_end = self.last_end.max(o.end);
+        self.wait_sum += o.wait;
+        self.total_inflation += o.inflation;
+        self.completed += usize::from(o.completed);
+        (self.on_outcome)(&o);
+        st.jobs.retire(job);
+    }
 }
 
 /// Run a stream of jobs (non-decreasing submit times) through one site's
@@ -128,261 +149,48 @@ fn validate_job(
 pub fn simulate_site_stream<I, F>(
     jobs: I,
     cfg: &SiteConfig,
-    mut on_outcome: F,
+    on_outcome: F,
 ) -> Result<StreamStats, SchedError>
 where
     I: IntoIterator<Item = SchedJob>,
     F: FnMut(&JobOutcome),
 {
-    validate(&[], cfg)?;
-    let mut st = SiteState::new(
-        cfg.pool.clone(),
-        cfg.placement,
-        cfg.discipline,
-        cfg.contention,
-        cfg.engine,
-    );
-    st.set_quotas(&cfg.quotas);
-    st.apply_calendar(&cfg.calendar);
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    // Pending static events per instant: the tie-break ledger (see the
-    // module docs). Every push below pairs with a count.
-    let mut statics: HashMap<SimTime, usize> = HashMap::new();
-    let mut push_static = |q: &mut EventQueue<Ev>, t: f64, ev: Ev| {
-        let at = SimTime::from_secs_f64(t);
-        q.push(at, ev);
-        *statics.entry(at).or_insert(0) += 1;
+    validate_config(cfg)?;
+    let (st, statics) = driver::configure(cfg);
+    let mut source = LazySource {
+        jobs: jobs.into_iter(),
+        cfg,
+        next: None,
+        n_jobs: 0,
+        last_submit: 0.0,
+        first_submit: f64::INFINITY,
     };
-    if cfg.engine == SchedEngine::SlotSet {
-        for m in &cfg.calendar {
-            push_static(&mut q, m.end, Ev::Tick);
-        }
-        for rule in &cfg.quotas {
-            if let Some((_, e)) = rule.window {
-                push_static(&mut q, e, Ev::Tick);
-            }
-        }
-    }
-    let mut crashes: Vec<(f64, f64, usize)> = Vec::new();
-    let mut degrades: Vec<(f64, f64, usize)> = Vec::new();
-    let mut requeue = RequeuePolicy::default();
-    if let Some(f) = cfg.faults.as_ref().filter(|f| !f.model.is_null()) {
-        st.attach_faults();
-        requeue = f.requeue;
-        let plan = FaultSchedule::generate(
-            &f.model,
-            cfg.pool.nodes(),
-            SimDur::from_secs_f64(f.horizon_secs),
-            f.seed,
-        );
-        for w in plan.windows() {
-            let (start, end) = (w.start.as_secs_f64(), w.end.as_secs_f64());
-            match w.kind {
-                FaultKind::NodeCrash => crashes.push((start, end.max(start + f.mttr_secs), w.node)),
-                FaultKind::NicDegrade { .. } => degrades.push((start, end, w.node)),
-                _ => {}
-            }
-        }
-        for (k, &(start, repair_end, _)) in crashes.iter().enumerate() {
-            push_static(&mut q, start, Ev::Crash(k));
-            push_static(&mut q, repair_end, Ev::Tick);
-        }
-        for (k, &(start, end, _)) in degrades.iter().enumerate() {
-            push_static(&mut q, start, Ev::Degrade(k));
-            push_static(&mut q, end, Ev::Tick);
-        }
-    }
-
-    let mut source = jobs.into_iter();
-    let mut stats = StreamStats::default();
-    let mut last_submit = 0.0_f64;
-    let mut first_submit = f64::INFINITY;
-    let mut last_end = 0.0_f64;
-    let mut wait_sum = 0.0_f64;
-    // Arena ids are recycled; the input's own id rides alongside for the
-    // outcome rows. Sized to peak-live, not the trace.
-    let mut input_id: Vec<usize> = Vec::new();
-    let fetch = |source: &mut I::IntoIter,
-                 last_submit: &mut f64,
-                 n: usize|
-     -> Result<Option<(SimTime, SchedJob)>, SchedError> {
-        match source.next() {
-            Some(j) => {
-                validate_job(n, &j, cfg, *last_submit)?;
-                *last_submit = j.submit;
-                Ok(Some((SimTime::from_secs_f64(j.submit), j)))
-            }
-            None => Ok(None),
-        }
+    source.fetch()?;
+    let mut sink = Report {
+        on_outcome,
+        completed: 0,
+        last_end: 0.0,
+        wait_sum: 0.0,
+        total_inflation: 0.0,
     };
-    let mut next_arrival = fetch(&mut source, &mut last_submit, stats.n_jobs)?;
-
-    loop {
-        // Arrival-vs-queue tie-break: see the module docs.
-        let inject = match (&next_arrival, q.peek_time()) {
-            (Some((at, _)), Some(t)) => {
-                *at < t || (*at == t && statics.get(&t).copied().unwrap_or(0) == 0)
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let now;
-        if inject {
-            let (at, j) = next_arrival.take().expect("checked above");
-            now = at.as_secs_f64();
-            st.advance(now);
-            first_submit = first_submit.min(j.submit);
-            let id = st.admit(&j);
-            if id == input_id.len() {
-                input_id.push(j.id);
-            } else {
-                input_id[id] = j.id;
-            }
-            st.submit(id);
-            stats.n_jobs += 1;
-            next_arrival = fetch(&mut source, &mut last_submit, stats.n_jobs)?;
+    let mut sites = [st];
+    driver::run(&mut sites, statics, &mut source, &mut sink)?;
+    let [st] = sites;
+    let n_jobs = source.n_jobs;
+    Ok(StreamStats {
+        n_jobs,
+        completed: sink.completed,
+        makespan: if n_jobs == 0 {
+            0.0
         } else {
-            let (t, ev) = q.pop().expect("checked above");
-            now = t.as_secs_f64();
-            match ev {
-                Ev::Tick | Ev::Crash(_) | Ev::Degrade(_) => {
-                    *statics.get_mut(&t).expect("static was counted") -= 1;
-                }
-                _ => {}
-            }
-            match ev {
-                Ev::Tick => st.advance(now),
-                Ev::Wake(gen) => {
-                    if gen != st.wake_gen {
-                        continue;
-                    }
-                    st.advance(now);
-                }
-                Ev::Crash(k) => {
-                    st.advance(now);
-                    let (_, repair_end, node) = crashes[k];
-                    for (job, start, remaining, nodes) in st.crash_node(now, repair_end, node) {
-                        st.fault_stats.kills += 1;
-                        st.fault_events.push(FaultEvent {
-                            t: now,
-                            action: FaultAction::Kill,
-                            node,
-                            job: Some(job),
-                        });
-                        let v = st.jobs[job].view;
-                        let done = (v.runtime - remaining).max(0.0);
-                        let retained = requeue.checkpoint.map_or(0.0, |ck| ck.retained(done));
-                        let lost = (done - retained).max(0.0);
-                        st.jobs[job].fault_loss += lost;
-                        st.fault_stats.work_lost_s += lost;
-                        st.fault_stats.work_salvaged_s += retained;
-                        st.jobs[job].kills += 1;
-                        let attempt = st.jobs[job].kills;
-                        if attempt > requeue.retry.max_retries {
-                            // Retry budget exhausted: fails for good.
-                            let o = JobOutcome {
-                                id: input_id[job],
-                                start,
-                                end: now,
-                                wait: (start - v.submit).max(0.0),
-                                inflation: ((now - start) - v.runtime).max(0.0),
-                                completed: false,
-                                nodes,
-                                requeues: attempt,
-                                fault_loss_s: st.jobs[job].fault_loss,
-                            };
-                            last_end = last_end.max(o.end);
-                            wait_sum += o.wait;
-                            stats.total_inflation += o.inflation;
-                            on_outcome(&o);
-                            st.jobs.retire(job);
-                        } else {
-                            if retained > 0.0 {
-                                // Checkpoint credit: the rerun owes only
-                                // the un-checkpointed remainder plus the
-                                // restore cost.
-                                let restore = requeue.checkpoint.map_or(0.0, |ck| ck.restore_cost);
-                                st.jobs[job].view.runtime =
-                                    (v.runtime - retained + restore).max(crate::slot::EPS);
-                            }
-                            let delay = requeue.retry.delay_before(attempt);
-                            q.push(SimTime::from_secs_f64(now + delay), Ev::Requeue(job, node));
-                        }
-                    }
-                }
-                Ev::Degrade(k) => {
-                    st.advance(now);
-                    let (_, end, node) = degrades[k];
-                    st.degrade_node(now, end, node);
-                }
-                Ev::Requeue(job, node) => {
-                    st.advance(now);
-                    st.fault_stats.requeues += 1;
-                    st.fault_events.push(FaultEvent {
-                        t: now,
-                        action: FaultAction::Requeue,
-                        node,
-                        job: Some(job),
-                    });
-                    st.queue.push_back(job);
-                }
-            }
-        }
-        for dep in st.departures(now) {
-            let (job, start, end, nodes, completed) = match dep {
-                Departure::Completed {
-                    job,
-                    start,
-                    end,
-                    nodes,
-                } => (job, start, end, nodes, true),
-                Departure::Killed {
-                    job,
-                    start,
-                    end,
-                    nodes,
-                } => (job, start, end, nodes, false),
-            };
-            let o = JobOutcome {
-                id: input_id[job],
-                start,
-                end,
-                wait: (start - st.jobs[job].view.submit).max(0.0),
-                inflation: ((end - start) - st.jobs[job].view.runtime).max(0.0),
-                completed,
-                nodes,
-                requeues: st.jobs[job].kills,
-                fault_loss_s: st.jobs[job].fault_loss,
-            };
-            last_end = last_end.max(o.end);
-            wait_sum += o.wait;
-            stats.total_inflation += o.inflation;
-            if completed {
-                stats.completed += 1;
-            }
-            on_outcome(&o);
-            st.jobs.retire(job);
-        }
-        st.heal(now);
-        st.try_start(now)?;
-        st.started.clear();
-        st.recompute_rates();
-        st.wake_gen += 1;
-        if let Some(te) = st.next_event() {
-            q.push(SimTime::from_secs_f64(te.max(now)), Ev::Wake(st.wake_gen));
-        }
-    }
-    stats.makespan = if stats.n_jobs == 0 {
-        0.0
-    } else {
-        last_end - first_submit
-    };
-    stats.mean_wait = wait_sum / stats.n_jobs.max(1) as f64;
-    stats.head_delay_violations = st.head_delay_violations;
-    stats.peak_live_jobs = st.jobs.peak_live();
-    stats.fault_stats = st.fault_stats;
-    Ok(stats)
+            sink.last_end - source.first_submit
+        },
+        mean_wait: sink.wait_sum / n_jobs.max(1) as f64,
+        total_inflation: sink.total_inflation,
+        head_delay_violations: st.head_delay_violations,
+        peak_live_jobs: st.jobs.peak_live(),
+        fault_stats: st.fault_stats,
+    })
 }
 
 #[cfg(test)]
@@ -402,7 +210,8 @@ mod tests {
         )
     }
 
-    /// Stream and batch must agree bit-for-bit, job by job.
+    /// The input slice and the lazy source must agree bit-for-bit, job by
+    /// job, through the one loop.
     fn assert_stream_matches_batch(jobs: &[SchedJob], cfg: &SiteConfig) {
         let batch = simulate_site(jobs, cfg).expect("batch run");
         let mut by_id: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
@@ -432,19 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_is_bit_identical_to_batch_across_disciplines_and_engines() {
+    fn stream_is_bit_identical_to_batch_across_disciplines() {
         for seed in [1_u64, 42, 0x5EED] {
             let jobs = lublin_mix(400, 16, 1.1, seed);
-            for d in [
-                Discipline::Fcfs,
-                Discipline::Easy,
-                Discipline::NaiveBackfill,
-                Discipline::Conservative,
-            ] {
-                for engine in [SchedEngine::SlotSet, SchedEngine::LegacyFreeNode] {
-                    let c = cfg(16, 8, d).with_engine(engine);
-                    assert_stream_matches_batch(&jobs, &c);
-                }
+            for d in [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative] {
+                assert_stream_matches_batch(&jobs, &cfg(16, 8, d));
             }
         }
     }
@@ -486,27 +287,72 @@ mod tests {
         assert_stream_matches_batch(&jobs, &c);
     }
 
-    #[test]
-    fn stream_matches_batch_under_crash_faults() {
-        let crashy = sim_faults::FaultModel {
+    fn crashy() -> sim_faults::FaultModel {
+        sim_faults::FaultModel {
             name: "test-crashy",
             scale: 1.0,
             crash_per_node_hour: 2.0,
             crash_mean_secs: 60.0,
             ..sim_faults::FaultModel::none()
-        };
-        let jobs: Vec<SchedJob> = (0..24)
+        }
+    }
+
+    fn two_node_jobs(n: usize) -> Vec<SchedJob> {
+        (0..n)
             .map(|i| {
                 let mut j = SchedJob::new(i, 2, (i as f64) * 30.0, 600.0, 0.0);
                 j.walltime = 1e5;
                 j
             })
-            .collect();
-        let c =
-            cfg(8, 4, Discipline::Easy).with_faults(SiteFaults::new(crashy, 7).with_mttr(300.0));
-        let batch = simulate_site(&jobs, &c).expect("batch");
-        assert!(batch.fault_stats.kills > 0, "model not hot enough");
-        assert_stream_matches_batch(&jobs, &c);
+            .collect()
+    }
+
+    /// Under crash faults, with arrivals that land exactly on a maintenance
+    /// end, a crash start and a repair end: the loop runs the statics
+    /// first, then the arrivals, from the slice and the lazy source alike.
+    #[test]
+    fn stream_matches_batch_when_arrivals_tie_with_static_events() {
+        for d in [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative] {
+            let c = cfg(8, 4, d)
+                .with_maintenance(Maintenance {
+                    begin: 200.0,
+                    end: 420.0,
+                    nodes: crate::site::MaintNodes::Rack(0),
+                })
+                .with_faults(SiteFaults::new(crashy(), 7).with_mttr(300.0));
+            let (st, _) = crate::driver::configure(&c);
+            let (crash, repair_end, _) = st.crashes[0];
+            let mut jobs = two_node_jobs(24);
+            for (k, t) in [420.0, crash, repair_end].into_iter().enumerate() {
+                // Each tie is a 4-node job, so the pass it lands in can
+                // decide who starts.
+                let mut j = SchedJob::new(24 + k, 4, t, 120.0, 0.0);
+                j.walltime = 1e5;
+                jobs.push(j);
+            }
+            jobs.sort_by(|a, b| a.submit.total_cmp(&b.submit));
+            for (i, j) in jobs.iter_mut().enumerate() {
+                j.id = i;
+            }
+            for t in [420.0, crash, repair_end] {
+                assert_eq!(
+                    SimTime::from_secs_f64(t).as_secs_f64(),
+                    t,
+                    "{t} is on the grid"
+                );
+                assert!(
+                    jobs.iter().any(|j| j.submit == t),
+                    "an arrival lands on {t}"
+                );
+            }
+            let batch = simulate_site(&jobs, &c).expect("batch");
+            assert!(
+                batch.fault_stats.kills > 0,
+                "{}: model not hot enough",
+                d.name()
+            );
+            assert_stream_matches_batch(&jobs, &c);
+        }
     }
 
     #[test]

@@ -46,12 +46,7 @@ fn main() {
             "head_delays",
         ],
     );
-    let disciplines = [
-        Discipline::Fcfs,
-        Discipline::Easy,
-        Discipline::Conservative,
-        Discipline::NaiveBackfill,
-    ];
+    let disciplines = [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative];
     for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
         for d in disciplines {
             let cfg = SiteConfig::new(
@@ -71,9 +66,6 @@ fn main() {
             ]);
         }
     }
-    t.note(
-        "naive backfill ignores the head's reservation — head_delays counts the jobs it starved",
-    );
     t.note("EASY/conservative keep head_delays at 0 by construction; the wait cut is free");
     println!("{}", t.to_text());
 

@@ -1,14 +1,14 @@
 //! Scheduler-subsystem invariants: the EASY guarantee under randomized
-//! job mixes (on both scheduling engines), slot-set vs legacy-free-node
-//! equivalence, the naive-backfill head-delay regression, the contended
-//! ARRIVE-F rerun, slot-set capability semantics, fragmentation error
-//! surfacing, engine-vs-scheduler contention agreement, and golden digests
-//! of the schedsweep and slot-capabilities figures.
+//! job mixes, the contended ARRIVE-F rerun, slot-set capability
+//! semantics, rack-strict fragmentation, engine-vs-scheduler contention
+//! agreement, and golden digests of the schedsweep and slot-capabilities
+//! figures. `tests/sched_reference.rs` pins the disciplines themselves to
+//! a brute-force reference scheduler.
 
 use cloudsim::sim_net::ContentionParams;
 use cloudsim::sim_sched::{
     lublin_mix, simulate_burst, simulate_site, BurstPolicy, Discipline, NodePool, PlacementPolicy,
-    SchedEngine, SchedError, SchedJob, SiteConfig,
+    SchedJob, SiteConfig,
 };
 use cloudsim::{
     contended_mix, contended_sites, figures, presets, Capacities, ReproConfig, DEFAULT_SEED,
@@ -31,10 +31,9 @@ fn site(
 }
 
 /// Randomized sweep of the EASY invariant: across seeded Lublin mixes,
-/// loads, placements, platforms — and both scheduling engines — neither
-/// EASY nor conservative backfilling ever starts a job later than the
-/// reservation it was quoted when it first blocked at the head of the
-/// queue.
+/// loads, placements and platforms, neither EASY nor conservative
+/// backfilling ever starts a job later than the reservation it was quoted
+/// when it first blocked at the head of the queue.
 #[test]
 fn easy_invariant_holds_across_seeded_mixes() {
     let disciplines = [Discipline::Easy, Discipline::Conservative];
@@ -43,141 +42,33 @@ fn easy_invariant_holds_across_seeded_mixes() {
         PlacementPolicy::Scattered,
         PlacementPolicy::RackAware,
     ];
-    let engines = [SchedEngine::SlotSet, SchedEngine::LegacyFreeNode];
     for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
         for seed in 0..12u64 {
             let load = 0.6 + 0.25 * (seed % 5) as f64;
             let jobs = lublin_mix(60, 16, load, 0xEA51_0000 + seed);
             for d in disciplines {
                 for p in placements {
-                    for e in engines {
-                        let cfg = site(&cluster, 16, d, p).with_engine(e);
-                        let res = simulate_site(&jobs, &cfg).unwrap();
-                        assert_eq!(
-                            res.head_delay_violations,
-                            0,
-                            "{} {} {} {} seed {seed}: reservation broken",
-                            cluster.name,
-                            d.name(),
-                            p.name(),
-                            e.name()
-                        );
-                        // Cross-check the counter against the raw data:
-                        // every started job with a recorded reservation
-                        // started at or before it.
-                        for &(job, promised) in &res.reservations {
-                            let o = &res.outcomes[job];
-                            if o.start.is_finite() {
-                                assert!(
-                                    o.start <= promised + EPS,
-                                    "{} {} {} {} seed {seed}: job {job} started {} > promised {}",
-                                    cluster.name,
-                                    d.name(),
-                                    p.name(),
-                                    e.name(),
-                                    o.start,
-                                    promised
-                                );
-                            }
-                        }
-                        // Conservation: every job has an outcome.
-                        assert_eq!(res.outcomes.len(), jobs.len());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The slot-set engine is a drop-in replacement: across every discipline,
-/// placement, platform and a spread of seeds, its schedules are
-/// bit-identical to the legacy free-node engine's (starts, ends, node
-/// counts, reservations and head-delay counters).
-#[test]
-fn slot_set_engine_is_bit_identical_to_legacy() {
-    let disciplines = [
-        Discipline::Fcfs,
-        Discipline::Easy,
-        Discipline::Conservative,
-        Discipline::NaiveBackfill,
-    ];
-    let placements = [
-        PlacementPolicy::Packed,
-        PlacementPolicy::Scattered,
-        PlacementPolicy::RackAware,
-    ];
-    for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
-        for seed in [3u64, 4, 5] {
-            let load = 0.8 + 0.3 * (seed % 3) as f64;
-            let jobs = lublin_mix(70, 16, load, 0x51_0750 + seed);
-            for d in disciplines {
-                for p in placements {
-                    let slot = simulate_site(&jobs, &site(&cluster, 16, d, p)).unwrap();
-                    let legacy = simulate_site(
-                        &jobs,
-                        &site(&cluster, 16, d, p).with_engine(SchedEngine::LegacyFreeNode),
-                    )
-                    .unwrap();
+                    let res = simulate_site(&jobs, &site(&cluster, 16, d, p)).unwrap();
                     let ctx = format!("{} {} {} seed {seed}", cluster.name, d.name(), p.name());
-                    assert_eq!(
-                        slot.head_delay_violations, legacy.head_delay_violations,
-                        "{ctx}"
-                    );
-                    assert_eq!(slot.reservations, legacy.reservations, "{ctx}");
-                    for (a, b) in slot.outcomes.iter().zip(&legacy.outcomes) {
-                        assert_eq!(a.start, b.start, "{ctx} job {}", a.id);
-                        assert_eq!(a.end, b.end, "{ctx} job {}", a.id);
-                        assert_eq!(a.nodes, b.nodes, "{ctx} job {}", a.id);
-                        assert_eq!(a.completed, b.completed, "{ctx} job {}", a.id);
+                    assert_eq!(res.head_delay_violations, 0, "{ctx}: reservation broken");
+                    // Cross-check the counter against the raw data: every
+                    // started job with a recorded reservation started at
+                    // or before it.
+                    for &(job, promised) in &res.reservations {
+                        let o = &res.outcomes[job];
+                        if o.start.is_finite() {
+                            assert!(
+                                o.start <= promised + EPS,
+                                "{ctx}: job {job} started {} > promised {promised}",
+                                o.start
+                            );
+                        }
                     }
+                    // Conservation: every job has an outcome.
+                    assert_eq!(res.outcomes.len(), jobs.len());
                 }
             }
         }
-    }
-}
-
-/// The historical scheduler bug, pinned as a regression: checking a
-/// backfill candidate against *current* free nodes only (ignoring the
-/// head's reservation) lets a long narrow job delay a wide queue head.
-/// `NaiveBackfill` keeps that rule; EASY and conservative must not trip.
-#[test]
-fn naive_backfill_delays_the_head_easy_does_not() {
-    // 8-node pool. J0 holds 6 nodes for 100 s. J1 (head) needs all 8.
-    // J2 (2 nodes, 150 s) fits the 2 free nodes *now* but overlaps the
-    // head's reservation at t=100. Tight walltimes (== runtime; there is
-    // no contention here) so the reservation sits exactly at t=100.
-    let jobs: Vec<SchedJob> = [(0, 6, 0.0, 100.0), (1, 8, 1.0, 50.0), (2, 2, 2.0, 150.0)]
-        .into_iter()
-        .map(|(id, nodes, submit, runtime)| {
-            let mut j = SchedJob::new(id, nodes, submit, runtime, 0.0);
-            j.walltime = runtime;
-            j
-        })
-        .collect();
-    let cluster = presets::dcc();
-    let naive = simulate_site(
-        &jobs,
-        &site(
-            &cluster,
-            8,
-            Discipline::NaiveBackfill,
-            PlacementPolicy::Packed,
-        ),
-    )
-    .unwrap();
-    assert!(
-        naive.head_delay_violations >= 1,
-        "the naive rule must trip the head-delay detector"
-    );
-    assert!(naive.outcomes[1].start > 100.0 + EPS);
-    for d in [Discipline::Easy, Discipline::Conservative] {
-        let ok = simulate_site(&jobs, &site(&cluster, 8, d, PlacementPolicy::Packed)).unwrap();
-        assert_eq!(ok.head_delay_violations, 0, "{}", d.name());
-        assert!(
-            ok.outcomes[1].start <= 100.0 + EPS,
-            "{}: head must start the moment J0 releases",
-            d.name()
-        );
     }
 }
 
@@ -348,12 +239,11 @@ fn slot_capabilities_scenario_semantics() {
     }
 }
 
-/// Fragmentation under the rack-strict policy: the legacy engine checks
-/// raw counts only and surfaces a typed error when the allocation then
-/// fails; the slot-set engine sees infeasibility up front and simply makes
-/// the job wait for a single-rack hole.
+/// Fragmentation under the rack-strict policy: raw capacity admits the
+/// job but no single rack does, so the slot engine's feasibility gate
+/// leaves it queued until a single-rack hole opens.
 #[test]
-fn rack_strict_fragmentation_errors_on_legacy_waits_on_slot_set() {
+fn rack_strict_fragmentation_waits_for_a_rack_hole() {
     // 8 nodes in racks of 4. Two 2-node jobs land in different racks
     // (idle-rack preference), leaving [2,3] and [6,7] free: raw capacity
     // admits a 3-node job, no single rack does.
@@ -373,23 +263,11 @@ fn rack_strict_fragmentation_errors_on_legacy_waits_on_slot_set() {
         Discipline::Fcfs,
         ContentionParams::NONE,
     );
-    let legacy = simulate_site(&jobs, &cfg.clone().with_engine(SchedEngine::LegacyFreeNode));
-    assert!(
-        matches!(
-            legacy,
-            Err(SchedError::PlacementUnsatisfiable {
-                need: 3,
-                policy: "rack-strict",
-                ..
-            })
-        ),
-        "legacy must surface the fragmentation as a typed error: {legacy:?}"
-    );
     let slot = simulate_site(&jobs, &cfg).unwrap();
     // Job 0 frees rack 0 at t=100; job 2 starts there.
     assert!(
         (slot.outcomes[2].start - 100.0).abs() < EPS,
-        "slot engine should wait for the hole: {:?}",
+        "the job should wait for the hole: {:?}",
         slot.outcomes[2]
     );
     assert!(slot.outcomes.iter().all(|o| o.completed));
