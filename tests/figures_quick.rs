@@ -1,7 +1,10 @@
 //! End-to-end tests of the figure drivers at reduced scale: every table
-//! builds, has the right shape, and preserves the paper's orderings.
+//! builds, has the right shape, and preserves the paper's orderings; and
+//! the exact text of every table `figures --quick all` prints is pinned by
+//! digest.
 
-use cloudsim::{figures, ReproConfig};
+use cloudsim::workloads::Kernel;
+use cloudsim::{figures, ReproConfig, Table};
 
 fn cfg() -> ReproConfig {
     ReproConfig::quick()
@@ -135,4 +138,116 @@ fn fig7_has_32_ranks_and_csv_roundtrip() {
     let csv = t.to_csv();
     assert_eq!(csv.lines().count(), 33); // header + 32 ranks
     assert!(csv.starts_with("rank,vayu_comp,vayu_comm,dcc_comp,dcc_comm"));
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests of every table `figures --quick all` prints at the default
+// seed: FNV-64 of the exact table text, one `label<TAB>digest` line per
+// table in `tests/golden_figures.txt` (schedsweep, slotsched and faultsched
+// are pinned in `tests/golden_sched.txt`). Re-record, only when a change is
+// meant to move a number, with
+//     UPDATE_GOLDEN=1 cargo test --release --test figures_quick golden
+// ---------------------------------------------------------------------------
+
+const GOLDEN_PATH: &str = "tests/golden_figures.txt";
+
+/// Entries of the release-only half: fig4's eight panels and ARRIVE-F.
+const HEAVY_ENTRIES: usize = 9;
+
+type Driver = fn(&ReproConfig) -> Table;
+
+/// One half of the pinned tables, built with the arguments `figures
+/// --quick` passes, as (label, table). The heavy half takes tens of
+/// seconds; the light half runs in tier-1.
+fn pinned(heavy: bool) -> Vec<(String, Table)> {
+    let c = cfg();
+    if heavy {
+        let labels = Kernel::all().map(|k| format!("fig4.{k:?}").to_lowercase());
+        let mut out: Vec<_> = labels
+            .into_iter()
+            .zip(figures::fig4_npb_speedups(&c))
+            .collect();
+        out.push(("arrivef".into(), cloudsim::arrive_f_table(30, 42)));
+        assert_eq!(out.len(), HEAVY_ENTRIES);
+        return out;
+    }
+    let light: [(&str, Driver); 13] = [
+        ("fig1", figures::fig1_osu_bandwidth),
+        ("fig2", figures::fig2_osu_latency),
+        ("fig3", figures::fig3_npb_serial),
+        ("tab2", figures::tab2_npb_comm),
+        ("fig5", figures::fig5_chaste),
+        ("fig6", figures::fig6_metum),
+        ("tab3", figures::tab3_metum),
+        ("fig7", figures::fig7_load_balance),
+        ("faultsweep", figures::faultsweep),
+        ("recoverysweep", figures::recoverysweep),
+        ("ablations.dcc", cloudsim::ablation_dcc_variants),
+        ("ablations.ht", cloudsim::ablation_ht_packing),
+        ("arrivef_rerun", |_| cloudsim::arrive_f_rerun_table(60, 42)),
+    ];
+    light
+        .into_iter()
+        .map(|(l, f)| (l.to_string(), f(&c)))
+        .collect()
+}
+
+fn digest(t: &Table) -> u64 {
+    cloudsim::sim_sweep::fnv64(t.to_text().as_bytes())
+}
+
+/// Check one half of the pinned tables against the committed digests,
+/// reporting every drifted table at once; under `UPDATE_GOLDEN` the heavy
+/// test records both halves instead.
+fn check_golden(heavy: bool) {
+    let recording = std::env::var_os("UPDATE_GOLDEN").is_some();
+    if recording {
+        if heavy {
+            let mut s = String::from("# Golden `figures --quick all` table text digests.\n");
+            s.push_str("# Tier-1 entries first, then fig4 and arrivef (release only).\n");
+            for (label, t) in pinned(false).iter().chain(&pinned(true)) {
+                s.push_str(&format!("{label}\t{:016x}\n", digest(t)));
+            }
+            std::fs::write(GOLDEN_PATH, s).unwrap();
+        }
+        return;
+    }
+    let committed = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("tests/golden_figures.txt missing — run with UPDATE_GOLDEN=1 to record");
+    let want: std::collections::BTreeMap<&str, u64> = committed
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let (label, d) = l.split_once('\t').expect("label<TAB>digest");
+            (label, u64::from_str_radix(d, 16).expect("hex digest"))
+        })
+        .collect();
+    let tables = pinned(heavy);
+    if !heavy {
+        assert_eq!(
+            want.len(),
+            tables.len() + HEAVY_ENTRIES,
+            "golden entry count drifted"
+        );
+    }
+    let drifted: Vec<&str> = tables
+        .iter()
+        .filter(|(label, t)| want.get(label.as_str()) != Some(&digest(t)))
+        .map(|(label, _)| label.as_str())
+        .collect();
+    assert!(drifted.is_empty(), "table text changed: {drifted:?}");
+}
+
+#[test]
+fn golden_quick_tables_are_bit_identical() {
+    check_golden(false);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "fig4 and ARRIVE-F take tens of seconds; run with --release"
+)]
+fn golden_fig4_and_arrivef_are_bit_identical() {
+    check_golden(true);
 }
