@@ -13,8 +13,8 @@
 //!    EC2's EP fluctuation and DCC's irregular imbalance: run DCC's
 //!    hardware bare-metal.
 
-use crate::experiment::{parallel_map, Experiment};
-use crate::figures::ReproConfig;
+use crate::experiment::Experiment;
+use crate::figures::{grid, ReproConfig};
 use crate::table::{fmt_pct, fmt_ratio, Table};
 use sim_net::{FabricParams, Topology};
 use sim_platform::{presets, ClusterSpec, HypervisorModel, Strategy};
@@ -62,29 +62,23 @@ pub fn ablation_dcc_variants(cfg: &ReproConfig) -> Table {
         ),
         vec!["np", "dcc", "dcc+ib", "dcc+numa", "dcc-bare", "vayu"],
     );
-    let nps = vec![4usize, 8, 16, 32];
-    let rows = parallel_map(nps, |np| {
-        let times: Vec<f64> = variants
-            .iter()
-            .map(|c| {
-                Experiment::new(&w, c, np)
-                    .repeats(cfg.repeats)
-                    .run_min()
-                    .expect("ablation run")
-                    .0
-                    .elapsed_secs()
-            })
-            .collect();
+    let nps = [4usize, 8, 16, 32];
+    let rows = grid(nps.len(), variants.len(), |row, col| {
+        Experiment::new(&w, &variants[col], nps[row])
+            .repeats(cfg.repeats)
+            .run_min()
+            .expect("ablation run")
+            .0
+            .elapsed_secs()
+    });
+    for (np, times) in nps.iter().zip(rows) {
         let base = times[0];
         let mut cells = vec![np.to_string()];
         cells.push(fmt_ratio(1.0));
         for t in &times[1..] {
             cells.push(fmt_ratio(t / base));
         }
-        cells
-    });
-    for r in rows {
-        t.row(r);
+        t.row(cells);
     }
     t.note(
         "below 1.0 = faster than stock DCC; NUMA exposure carries the single-node gap, while the",
@@ -106,31 +100,28 @@ pub fn ablation_ht_packing(cfg: &ReproConfig) -> Table {
             "%comm_spread",
         ],
     );
-    let kernels = vec![Kernel::Ep, Kernel::Cg, Kernel::Mg, Kernel::Ft];
+    let kernels = [Kernel::Ep, Kernel::Cg, Kernel::Mg, Kernel::Ft];
+    let strategies = [Strategy::Block, Strategy::Spread { nodes: 4 }];
     let c = presets::ec2();
-    let rows = parallel_map(kernels, |k| {
-        let w = Npb::new(k, cfg.npb_class);
-        let run = |strategy| {
-            Experiment::new(&w, &c, 32)
-                .strategy(strategy)
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("ht run")
-                .0
-        };
-        let packed = run(Strategy::Block);
-        let spread = run(Strategy::Spread { nodes: 4 });
-        vec![
-            w.name(),
+    let rows = grid(kernels.len(), strategies.len(), |row, col| {
+        let w = Npb::new(kernels[row], cfg.npb_class);
+        Experiment::new(&w, &c, 32)
+            .strategy(strategies[col])
+            .repeats(cfg.repeats)
+            .run_min()
+            .expect("ht run")
+            .0
+    });
+    for (k, runs) in kernels.into_iter().zip(rows) {
+        let [packed, spread] = [&runs[0], &runs[1]];
+        t.row(vec![
+            Npb::new(k, cfg.npb_class).name(),
             format!("{:.2}", packed.elapsed_secs()),
             format!("{:.2}", spread.elapsed_secs()),
             fmt_ratio(packed.elapsed_secs() / spread.elapsed_secs()),
             fmt_pct(packed.comm_pct()),
             fmt_pct(spread.comm_pct()),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t.note(
         "paper Table III: packing MetUM onto 2 nodes at 32 ranks costs ~2x (rcomp 2.39 vs 1.17)",

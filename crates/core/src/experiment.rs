@@ -1,10 +1,10 @@
-//! The experiment runner: repeats, min-of-N, and parallel sweeps.
+//! The experiment runner: repeats and min-of-N.
 //!
 //! The paper's methodology: "Each run was repeated 5 times, with the minimum
 //! time being used for the results." [`Experiment`] reproduces that —
-//! repeats differ only in the noise-model seed — and [`parallel_map`] fans a
-//! sweep out over OS threads (the simulator itself is single-threaded and
-//! deterministic per run).
+//! repeats differ only in the noise-model seed. One experiment is one
+//! single-threaded, deterministic simulation; the figure drivers fan grids
+//! of them out over [`sim_sweep`]'s worker pool.
 
 use sim_faults::FaultSpec;
 use sim_ipm::{profile_run, IpmReport};
@@ -125,40 +125,6 @@ impl<'a> Experiment<'a> {
     }
 }
 
-/// Map `f` over `items` on a pool of worker threads, preserving order.
-/// Sweeps in the figure drivers are embarrassingly parallel; each item is
-/// itself a full deterministic simulation.
-pub fn parallel_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
-    let mut slots: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let work: Vec<(usize, I)> = items.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let results = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let item = queue.lock().unwrap().pop();
-                let Some((idx, item)) = item else { break };
-                let out = f(item);
-                results.lock().unwrap()[idx] = Some(out);
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,27 +174,5 @@ mod tests {
         let a = Experiment::new(&w, &c, 8).run_once().unwrap().0.elapsed;
         let b = Experiment::new(&w, &c, 8).run_once().unwrap().0.elapsed;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * x);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as i32);
-        }
-    }
-
-    #[test]
-    fn parallel_map_matches_serial_simulation() {
-        let w = Npb::new(Kernel::Is, Class::S);
-        let c = presets::vayu();
-        let nps = vec![2usize, 4, 8];
-        let par = parallel_map(nps.clone(), |np| {
-            Experiment::new(&w, &c, np).run_once().unwrap().0.elapsed
-        });
-        for (np, p) in nps.into_iter().zip(par) {
-            let s = Experiment::new(&w, &c, np).run_once().unwrap().0.elapsed;
-            assert_eq!(p, s, "np={np}");
-        }
     }
 }

@@ -4,11 +4,14 @@
 //! simulated series next to the paper's published reference values where
 //! the paper prints them. `ReproConfig::paper()` reproduces the full-size
 //! experiments; `ReproConfig::quick()` runs reduced problem sizes for CI.
+//! A driver's runs are independent, so each driver fans its grid out once
+//! on [`sim_sweep`]'s pool; the table text is the same for every thread
+//! count.
 
-use crate::experiment::{parallel_map, Experiment};
+use crate::experiment::Experiment;
 use crate::table::{fmt_pct, fmt_ratio, fmt_secs, Table};
 use sim_faults::{FaultModel, FaultSpec, RecoveryStrategy, RetryPolicy};
-use sim_mpi::Op;
+use sim_mpi::{Op, SimError};
 use sim_net::ContentionParams;
 use sim_platform::{presets, ClusterSpec, Strategy};
 use sim_sched::{
@@ -16,7 +19,7 @@ use sim_sched::{
     Maintenance, NodePool, PlacementPolicy, PriceModel, QuotaRule, RequeuePolicy, SchedJob,
     SiteConfig, SiteFaults,
 };
-use sim_sweep::{sweep, SweepOpts};
+use sim_sweep::{map, SweepOpts};
 use workloads::metum::warmed_secs;
 use workloads::osu::{osu_sizes, run_bandwidth, run_latency};
 use workloads::{
@@ -85,52 +88,81 @@ fn platforms() -> [ClusterSpec; 3] {
     [presets::dcc(), presets::ec2(), presets::vayu()]
 }
 
+/// Evaluate `point(row, col)` over a figure's `rows x cols` grid in one
+/// fan-out on sim-sweep's pool and return the results row by row. Figure
+/// rows mostly run in ascending rank count, so the cells are listed last
+/// row first: the longest runs start first instead of finishing alone.
+pub(crate) fn grid<O: Send>(
+    rows: usize,
+    cols: usize,
+    point: impl Fn(usize, usize) -> O + Sync,
+) -> Vec<Vec<O>> {
+    let mut cells = map(rows * cols, &SweepOpts::default(), |cell| {
+        point(rows - 1 - cell / cols, cell % cols)
+    });
+    (0..rows)
+        .map(|_| cells.split_off(cells.len() - cols))
+        .collect()
+}
+
+/// One point of a paper figure: `w` on `c` at `np` ranks, measured as the
+/// minimum of `cfg.repeats` runs from `cfg.seed`.
+fn paper_point<'a>(
+    cfg: &ReproConfig,
+    w: &'a dyn Workload,
+    c: &'a ClusterSpec,
+    np: usize,
+) -> Experiment<'a> {
+    Experiment::new(w, c, np)
+        .seed(cfg.seed)
+        .repeats(cfg.repeats)
+}
+
+/// The OSU grid of Figs 1 and 2: one row per message size, one column per
+/// platform, each cell the best of `cfg.repeats` runs of `measure` on
+/// noise streams `stream..`, folded from `init` by `best`.
+fn osu_table(
+    mut t: Table,
+    cfg: &ReproConfig,
+    stream: u64,
+    measure: fn(&ClusterSpec, usize, u64) -> Result<f64, SimError>,
+    init: f64,
+    best: fn(f64, f64) -> f64,
+) -> Table {
+    let sizes = osu_sizes();
+    let plats = platforms();
+    let rows = grid(sizes.len(), plats.len(), |row, col| {
+        (0..cfg.repeats as u64)
+            .map(|r| measure(&plats[col], sizes[row], cfg.micro_seed(stream + r)).expect("osu run"))
+            .fold(init, best)
+    });
+    for (bytes, row) in sizes.iter().zip(rows) {
+        let mut cells = vec![bytes.to_string()];
+        cells.extend(row.iter().map(|v| format!("{v:.1}")));
+        t.row(cells);
+    }
+    t
+}
+
 /// Figure 1: OSU bandwidth (MB/s) vs message size on the three platforms.
 pub fn fig1_osu_bandwidth(cfg: &ReproConfig) -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig 1 — OSU MPI bandwidth (MB/s), one process per node",
         vec!["bytes", "dcc", "ec2", "vayu"],
     );
-    let sizes = osu_sizes();
-    let rows = parallel_map(sizes, |bytes| {
-        let mut cells = vec![bytes.to_string()];
-        for c in platforms() {
-            // Best (max) bandwidth across repeats, like the real suite.
-            let best = (0..cfg.repeats)
-                .map(|r| run_bandwidth(&c, bytes, cfg.micro_seed(0xB0 + r as u64)).expect("osu_bw"))
-                .fold(0.0_f64, f64::max);
-            cells.push(format!("{best:.1}"));
-        }
-        cells
-    });
-    for r in rows {
-        t.row(r);
-    }
+    // Best (max) bandwidth across repeats, like the real suite.
+    let mut t = osu_table(t, cfg, 0xB0, run_bandwidth, 0.0, f64::max);
     t.note("paper: DCC peaks ~190 MB/s, EC2 ~560 MB/s at 256 KB, Vayu >10x higher");
     t
 }
 
 /// Figure 2: OSU latency (us) vs message size on the three platforms.
 pub fn fig2_osu_latency(cfg: &ReproConfig) -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig 2 — OSU MPI latency (us), one process per node",
         vec!["bytes", "dcc", "ec2", "vayu"],
     );
-    let rows = parallel_map(osu_sizes(), |bytes| {
-        let mut cells = vec![bytes.to_string()];
-        for c in platforms() {
-            let best = (0..cfg.repeats)
-                .map(|r| {
-                    run_latency(&c, bytes, cfg.micro_seed(0x1A + r as u64)).expect("osu_latency")
-                })
-                .fold(f64::INFINITY, f64::min);
-            cells.push(format!("{best:.1}"));
-        }
-        cells
-    });
-    for r in rows {
-        t.row(r);
-    }
+    let mut t = osu_table(t, cfg, 0x1A, run_latency, f64::INFINITY, f64::min);
     t.note("paper: Vayu ~2 us small-message, EC2 ~55-65 us, DCC >100 us and fluctuating");
     t
 }
@@ -145,29 +177,24 @@ pub fn fig3_npb_serial(cfg: &ReproConfig) -> Table {
         ),
         vec!["kernel", "dcc_s", "paper_dcc_s", "ec2_norm", "vayu_norm"],
     );
-    let rows = parallel_map(Kernel::all().to_vec(), |k| {
-        let w = Npb::new(k, cfg.npb_class);
-        let [dcc, ec2, vayu] = platforms();
-        let time = |c: &ClusterSpec| {
-            Experiment::new(&w, c, 1)
-                .seed(cfg.seed)
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("serial run")
-                .0
-                .elapsed_secs()
-        };
-        let td = time(&dcc);
-        vec![
-            w.name(),
-            fmt_secs(td),
-            fmt_secs(k.dcc_serial_secs(cfg.npb_class)),
-            fmt_ratio(time(&ec2) / td),
-            fmt_ratio(time(&vayu) / td),
-        ]
+    let kernels = Kernel::all();
+    let plats = platforms();
+    let rows = grid(kernels.len(), plats.len(), |row, col| {
+        let w = Npb::new(kernels[row], cfg.npb_class);
+        let (res, _) = paper_point(cfg, &w, &plats[col], 1)
+            .run_min()
+            .expect("serial run");
+        res.elapsed_secs()
     });
-    for r in rows {
-        t.row(r);
+    for (k, secs) in kernels.into_iter().zip(rows) {
+        let [dcc, ec2, vayu] = [secs[0], secs[1], secs[2]];
+        t.row(vec![
+            Npb::new(k, cfg.npb_class).name(),
+            fmt_secs(dcc),
+            fmt_secs(k.dcc_serial_secs(cfg.npb_class)),
+            fmt_ratio(ec2 / dcc),
+            fmt_ratio(vayu / dcc),
+        ]);
     }
     t.note("paper prints the class-B DCC absolute times; normalized bars sit near the 1.29 clock ratio");
     t
@@ -181,46 +208,27 @@ pub fn fig4_npb_speedups(cfg: &ReproConfig) -> Vec<Table> {
         .collect()
 }
 
-/// One kernel's Figure 4 panel.
+/// One kernel's Figure 4 panel: one (np x platform) grid, whose np=1 row
+/// is the serial baseline of every speedup.
 pub fn fig4_kernel(cfg: &ReproConfig, k: Kernel) -> Table {
     let w = Npb::new(k, cfg.npb_class);
     let mut t = Table::new(
         format!("Fig 4 — {} speedup vs np", w.name()),
         vec!["np", "dcc", "ec2", "vayu"],
     );
-    let serials: Vec<f64> = platforms()
-        .iter()
-        .map(|c| {
-            Experiment::new(&w, c, 1)
-                .seed(cfg.seed)
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("serial")
-                .0
-                .elapsed_secs()
-        })
-        .collect();
-    let nps: Vec<usize> = k
-        .paper_np_sweep()
-        .into_iter()
-        .filter(|np| *np > 1)
-        .collect();
-    let rows = parallel_map(nps, |np| {
-        let mut cells = vec![np.to_string()];
-        for (c, t1) in platforms().iter().zip(&serials) {
-            let t = Experiment::new(&w, c, np)
-                .seed(cfg.seed)
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("sweep point")
-                .0
-                .elapsed_secs();
-            cells.push(fmt_ratio(t1 / t));
-        }
-        cells
+    let nps = k.paper_np_sweep();
+    debug_assert_eq!(nps[0], 1, "the sweep starts at the serial baseline");
+    let plats = platforms();
+    let rows = grid(nps.len(), plats.len(), |row, col| {
+        let (res, _) = paper_point(cfg, &w, &plats[col], nps[row])
+            .run_min()
+            .expect("sweep point");
+        res.elapsed_secs()
     });
-    for r in rows {
-        t.row(r);
+    for (np, secs) in nps.iter().zip(&rows).skip(1) {
+        let mut cells = vec![np.to_string()];
+        cells.extend(rows[0].iter().zip(secs).map(|(t1, t)| fmt_ratio(t1 / t)));
+        t.row(cells);
     }
     t
 }
@@ -271,31 +279,29 @@ pub fn tab2_npb_comm(cfg: &ReproConfig) -> Table {
         ),
     ];
     let nps = [2usize, 4, 8, 16, 32, 64];
-    for (k, paper_vals) in paper {
-        let w = Npb::new(*k, cfg.npb_class);
-        let rows = parallel_map(nps.to_vec(), |np| {
-            let mut sims = Vec::new();
-            for c in platforms() {
-                let (res, _) = Experiment::new(&w, &c, np)
-                    .seed(cfg.seed)
-                    .run_once()
-                    .expect("tab2 run");
-                sims.push(res.comm_pct());
-            }
-            (np, sims)
-        });
-        for (i, (np, sims)) in rows.into_iter().enumerate() {
-            t.row(vec![
-                w.name(),
-                np.to_string(),
-                fmt_pct(sims[0]),
-                fmt_pct(sims[1]),
-                fmt_pct(sims[2]),
-                fmt_pct(paper_vals[0][i]),
-                fmt_pct(paper_vals[1][i]),
-                fmt_pct(paper_vals[2][i]),
-            ]);
-        }
+    let plats = platforms();
+    // One (kernel x np) x platform grid; row = kernel * nps.len() + np index.
+    let rows = grid(paper.len() * nps.len(), plats.len(), |row, col| {
+        let w = Npb::new(paper[row / nps.len()].0, cfg.npb_class);
+        let (res, _) = Experiment::new(&w, &plats[col], nps[row % nps.len()])
+            .seed(cfg.seed)
+            .run_once()
+            .expect("tab2 run");
+        res.comm_pct()
+    });
+    for (row, sims) in rows.iter().enumerate() {
+        let (k, paper_vals) = &paper[row / nps.len()];
+        let i = row % nps.len();
+        t.row(vec![
+            Npb::new(*k, cfg.npb_class).name(),
+            nps[i].to_string(),
+            fmt_pct(sims[0]),
+            fmt_pct(sims[1]),
+            fmt_pct(sims[2]),
+            fmt_pct(paper_vals[0][i]),
+            fmt_pct(paper_vals[1][i]),
+            fmt_pct(paper_vals[2][i]),
+        ]);
     }
     t.note("paper columns are the published class-B values (VU = Vayu)");
     t
@@ -312,31 +318,18 @@ pub fn fig5_chaste(cfg: &ReproConfig) -> Table {
         vec!["np", "vayu_total", "dcc_total", "vayu_KSp", "dcc_KSp"],
     );
     let nps = [8usize, 16, 32, 48, 64];
-    let runs = parallel_map(
-        nps.iter()
-            .flat_map(|np| [("vayu", *np), ("dcc", *np)])
-            .collect::<Vec<_>>(),
-        |(plat, np)| {
-            let c = if plat == "vayu" {
-                presets::vayu()
-            } else {
-                presets::dcc()
-            };
-            let (res, rep) = Experiment::new(&w, &c, np)
-                .seed(cfg.seed)
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("chaste run");
-            let ksp = rep.section("KSp").expect("KSp section").wall.mean;
-            (res.elapsed_secs(), ksp)
-        },
-    );
-    // runs alternate vayu, dcc in np order.
-    let (v8_total, v8_ksp) = runs[0];
-    let (d8_total, d8_ksp) = runs[1];
-    for (i, np) in nps.iter().enumerate() {
-        let (vt, vk) = runs[2 * i];
-        let (dt, dk) = runs[2 * i + 1];
+    let plats = [presets::vayu(), presets::dcc()];
+    // (total, KSp) seconds per np row, [vayu, dcc] per row.
+    let runs = grid(nps.len(), plats.len(), |row, col| {
+        let (res, rep) = paper_point(cfg, &w, &plats[col], nps[row])
+            .run_min()
+            .expect("chaste run");
+        let ksp = rep.section("KSp").expect("KSp section").wall.mean;
+        (res.elapsed_secs(), ksp)
+    });
+    let [(v8_total, v8_ksp), (d8_total, d8_ksp)] = [runs[0][0], runs[0][1]];
+    for (np, row) in nps.iter().zip(&runs) {
+        let [(vt, vk), (dt, dk)] = [row[0], row[1]];
         t.row(vec![
             np.to_string(),
             fmt_ratio(v8_total / vt),
@@ -388,24 +381,19 @@ pub fn fig6_metum(cfg: &ReproConfig) -> Table {
         "Fig 6 — MetUM warmed-time speedup over 8 cores",
         vec!["np", "vayu", "dcc", "ec2", "ec2-4"],
     );
-    let nps = vec![8usize, 16, 32, 64];
+    let nps = [8usize, 16, 32, 64];
     let configs = metum_configs(&w);
-    let mut warmed: Vec<Vec<f64>> = Vec::new();
-    for np in &nps {
-        let row = parallel_map(configs.iter().collect::<Vec<_>>(), |(_, c, strat)| {
-            let (_, rep) = Experiment::new(&w, c, *np)
-                .seed(cfg.seed)
-                .strategy(strat(*np))
-                .repeats(cfg.repeats)
-                .run_min()
-                .expect("metum run");
-            warmed_secs(&rep)
-        });
-        warmed.push(row);
-    }
-    for (i, np) in nps.iter().enumerate() {
+    let warmed = grid(nps.len(), configs.len(), |row, col| {
+        let (_, c, strat) = &configs[col];
+        let (_, rep) = paper_point(cfg, &w, c, nps[row])
+            .strategy(strat(nps[row]))
+            .run_min()
+            .expect("metum run");
+        warmed_secs(&rep)
+    });
+    for (np, row) in nps.iter().zip(&warmed) {
         let mut cells = vec![np.to_string()];
-        for (base, cur) in warmed[0].iter().zip(&warmed[i]) {
+        for (base, cur) in warmed[0].iter().zip(row) {
             cells.push(fmt_ratio(base / cur));
         }
         t.row(cells);
@@ -432,11 +420,10 @@ pub fn tab3_metum(cfg: &ReproConfig) -> Table {
         ],
     );
     let configs = metum_configs(&w);
-    let runs = parallel_map(configs.iter().collect::<Vec<_>>(), |(name, c, strat)| {
-        let (res, rep) = Experiment::new(&w, c, 32)
-            .seed(cfg.seed)
+    let runs = map(configs.len(), &SweepOpts::default(), |cell| {
+        let (name, c, strat) = &configs[cell];
+        let (res, rep) = paper_point(cfg, &w, c, 32)
             .strategy(strat(32))
-            .repeats(cfg.repeats)
             .run_min()
             .expect("tab3 run");
         (*name, warmed_secs(&rep), res, rep)
@@ -521,6 +508,76 @@ pub const FAULTSWEEP_SCALES: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
 /// enough events to measure, independent of how short the simulated job is.
 pub const FAULTSWEEP_CALIB: f64 = 8.0;
 
+/// What both fault sweeps derive from one workload on one platform before
+/// sweeping: the fault-free time-to-solution `t0`, the platform's fault
+/// preset with its rates calibrated against `t0`, and rank 0's collective
+/// count, which spaces checkpoints and verification cuts.
+struct FaultCalibration {
+    t0: f64,
+    preset: FaultSpec,
+    model: FaultModel,
+    colls: u64,
+}
+
+impl FaultCalibration {
+    fn new(cfg: &ReproConfig, w: &dyn Workload, cluster: &ClusterSpec, np: usize) -> Self {
+        let (base, _) = Experiment::new(w, cluster, np)
+            .seed(cfg.seed)
+            .run_once()
+            .expect("fault-free baseline");
+        let t0 = base.elapsed_secs();
+        let preset = FaultSpec::preset_for(cluster);
+        let model = preset
+            .model
+            .clone()
+            .with_rates_scaled(FAULTSWEEP_CALIB * 3600.0 / t0);
+        let mut probe = w.build(np);
+        let mut colls = 0u64;
+        while let Some(op) = probe.sources[0].next_op() {
+            colls += u64::from(matches!(op, Op::Coll(_)));
+        }
+        FaultCalibration {
+            t0,
+            preset,
+            model,
+            colls,
+        }
+    }
+
+    /// Checkpoint after every ~1/4 of the world collectives, writing 1 MiB
+    /// of state per rank.
+    fn checkpoints(&self) -> CheckpointPolicy {
+        CheckpointPolicy::new((self.colls / 4).max(1), 1 << 20)
+    }
+
+    /// Verification cuts twice as often as checkpoints: cheap checksum
+    /// passes between them.
+    fn verify_cuts(&self) -> VerifyPolicy {
+        VerifyPolicy::new((self.colls / 8).max(1), 1e7, 1 << 20)
+    }
+
+    /// The fault spec of one sweep point: the calibrated model at `scale`,
+    /// recovering by `recovery`.
+    fn spec(&self, scale: f64, recovery: RecoveryStrategy) -> FaultSpec {
+        FaultSpec {
+            model: self.model.clone().scaled(scale),
+            // A generous retry budget: transient crash windows are
+            // survivable, only fatal preemptions force a restart.
+            retry: RetryPolicy {
+                max_retries: 32,
+                max_delay_secs: 120.0,
+                ..RetryPolicy::default()
+            },
+            restart_delay_secs: (0.1 * self.t0).min(self.preset.restart_delay_secs),
+            // Faults stop after ~50 fault-free runtimes: every run
+            // terminates in bounded time even at the highest scale.
+            horizon_secs: 50.0 * self.t0,
+            recovery,
+            sdc_threshold: 0.01,
+        }
+    }
+}
+
 /// Sweep one workload on one platform across fault scales, plain vs
 /// checkpointed, with a shared fault schedule per scale (same seed, same
 /// placement — the checkpoint ops don't perturb the fault timeline).
@@ -531,49 +588,12 @@ pub fn faultsweep_points(
     np: usize,
     scales: &[f64],
 ) -> Vec<FaultPoint> {
-    let (base, _) = Experiment::new(w, cluster, np)
-        .seed(cfg.seed)
-        .run_once()
-        .expect("fault-free baseline");
-    let t0 = base.elapsed_secs();
-    let preset = FaultSpec::preset_for(cluster);
-    let model = preset
-        .model
-        .with_rates_scaled(FAULTSWEEP_CALIB * 3600.0 / t0);
-    // Checkpoint after every ~1/4 of the world collectives, writing 1 MiB
-    // of state per rank.
-    let colls = {
-        let mut probe = w.build(np);
-        let src = &mut probe.sources[0];
-        let mut n = 0u64;
-        while let Some(op) = src.next_op() {
-            if matches!(op, Op::Coll(_)) {
-                n += 1;
-            }
-        }
-        n
-    };
-    let policy = CheckpointPolicy::new((colls / 4).max(1), 1 << 20);
-    let ck = Checkpointed::new(w, policy);
+    let cal = FaultCalibration::new(cfg, w, cluster, np);
+    let ck = Checkpointed::new(w, cal.checkpoints());
     scales
         .iter()
         .map(|&scale| {
-            let spec = FaultSpec {
-                model: model.clone().scaled(scale),
-                // A generous retry budget: transient crash windows are
-                // survivable, only fatal preemptions force a restart.
-                retry: RetryPolicy {
-                    max_retries: 32,
-                    max_delay_secs: 120.0,
-                    ..RetryPolicy::default()
-                },
-                restart_delay_secs: (0.1 * t0).min(preset.restart_delay_secs),
-                // Faults stop after ~50 fault-free runtimes: every run
-                // terminates in bounded time even at the highest scale.
-                horizon_secs: 50.0 * t0,
-                recovery: RecoveryStrategy::Restart,
-                sdc_threshold: 0.01,
-            };
+            let spec = cal.spec(scale, RecoveryStrategy::Restart);
             let (plain, _) = Experiment::new(w, cluster, np)
                 .seed(cfg.seed)
                 .faults(spec.clone())
@@ -615,24 +635,18 @@ where
     F: Fn(&dyn Workload, &ClusterSpec) -> Vec<Vec<String>> + Sync,
 {
     const WORKLOADS: usize = 2;
-    sweep(
-        WORKLOADS * platforms().len(),
-        opts,
-        Vec::new,
-        |cell, acc: &mut Vec<Vec<String>>| {
-            let c = &platforms()[cell % platforms().len()];
-            let rows = if cell / platforms().len() == 0 {
-                eval(&Npb::new(Kernel::Cg, cfg.npb_class), c)
-            } else {
-                let metum = MetUm {
-                    timesteps: cfg.metum_steps,
-                };
-                eval(&metum, c)
+    let cells = map(WORKLOADS * platforms().len(), opts, |cell| {
+        let c = &platforms()[cell % platforms().len()];
+        if cell / platforms().len() == 0 {
+            eval(&Npb::new(Kernel::Cg, cfg.npb_class), c)
+        } else {
+            let metum = MetUm {
+                timesteps: cfg.metum_steps,
             };
-            acc.extend(rows);
-        },
-        |total, part| total.extend(part),
-    )
+            eval(&metum, c)
+        }
+    });
+    cells.into_iter().flatten().collect()
 }
 
 /// [`faultsweep`] with explicit sweep options (thread pinning in tests).
@@ -722,72 +736,43 @@ pub fn recoverysweep_points(
     np: usize,
     scales: &[f64],
 ) -> Vec<RecoveryPoint> {
-    let (base, _) = Experiment::new(w, cluster, np)
-        .seed(cfg.seed)
-        .run_once()
-        .expect("fault-free baseline");
-    let t0 = base.elapsed_secs();
-    let preset = FaultSpec::preset_for(cluster);
+    let mut cal = FaultCalibration::new(cfg, w, cluster, np);
     // Platform-relative SDC rate, calibrated (like the crash/preemption
     // rates) against the job's fault-free runtime so short simulated jobs
     // still see a measurable corruption budget.
-    let sdc_rel = preset.model.clone().with_platform_sdc().sdc_per_node_hour
-        / FaultModel::dcc().with_platform_sdc().sdc_per_node_hour;
-    let model = preset
+    let sdc_rel = cal
+        .preset
         .model
         .clone()
-        .with_rates_scaled(FAULTSWEEP_CALIB * 3600.0 / t0)
-        .with_sdc(RECOVERYSWEEP_SDC_PER_NODE * sdc_rel * 3600.0 / t0, 1.0);
-    let colls = {
-        let mut probe = w.build(np);
-        let src = &mut probe.sources[0];
-        let mut n = 0u64;
-        while let Some(op) = src.next_op() {
-            if matches!(op, Op::Coll(_)) {
-                n += 1;
-            }
-        }
-        n
-    };
-    // Checkpoints every ~1/4 of the run (as in [`faultsweep`]); verification
-    // cuts twice as often — cheap checksum passes between checkpoints.
-    let ckpt = CheckpointPolicy::new((colls / 4).max(1), 1 << 20);
-    let vpol = VerifyPolicy::new((colls / 8).max(1), 1e7, 1 << 20);
-    let verified = Verified::new(w, vpol);
-    let restart_w = Checkpointed::new(w, ckpt);
-    let abft_w = Checkpointed::new(&verified, ckpt);
-    let spec_for = |scale: f64, recovery: RecoveryStrategy| FaultSpec {
-        model: model.clone().scaled(scale),
-        retry: RetryPolicy {
-            max_retries: 32,
-            max_delay_secs: 120.0,
-            ..RetryPolicy::default()
-        },
-        restart_delay_secs: (0.1 * t0).min(preset.restart_delay_secs),
-        horizon_secs: 50.0 * t0,
-        recovery,
-        sdc_threshold: 0.01,
-    };
+        .with_platform_sdc()
+        .sdc_per_node_hour
+        / FaultModel::dcc().with_platform_sdc().sdc_per_node_hour;
+    cal.model = cal
+        .model
+        .with_sdc(RECOVERYSWEEP_SDC_PER_NODE * sdc_rel * 3600.0 / cal.t0, 1.0);
+    let verified = Verified::new(w, cal.verify_cuts());
+    let restart_w = Checkpointed::new(w, cal.checkpoints());
+    let abft_w = Checkpointed::new(&verified, cal.checkpoints());
     scales
         .iter()
         .map(|&scale| {
             let (restart, _) = Experiment::new(&restart_w, cluster, np)
                 .seed(cfg.seed)
-                .faults(spec_for(scale, RecoveryStrategy::Restart))
+                .faults(cal.spec(scale, RecoveryStrategy::Restart))
                 .run_once()
                 .expect("restart-only run");
             let (abft, _) = Experiment::new(&abft_w, cluster, np)
                 .seed(cfg.seed)
-                .faults(spec_for(scale, RecoveryStrategy::AbftRollback))
+                .faults(cal.spec(scale, RecoveryStrategy::AbftRollback))
                 .run_once()
                 .expect("abft run");
             let (shrink, _) = Experiment::new(&abft_w, cluster, np)
                 .seed(cfg.seed)
-                .faults(spec_for(
+                .faults(cal.spec(
                     scale,
                     RecoveryStrategy::ShrinkSpare {
                         spares: 4,
-                        respawn_delay_secs: 0.01 * t0,
+                        respawn_delay_secs: 0.01 * cal.t0,
                     },
                 ))
                 .run_once()
@@ -941,7 +926,7 @@ pub fn schedsweep(cfg: &ReproConfig) -> Table {
 }
 
 /// [`schedsweep`] with explicit sweep options (thread pinning in tests).
-/// The grid fans out on [`sim_sweep::sweep`]; row order is the historical
+/// The grid fans out on [`sim_sweep::map`]; row order is the historical
 /// nested-loop order (platform, then discipline, then placement, then
 /// load) and the table text is bit-identical for every thread count.
 pub fn schedsweep_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
@@ -965,16 +950,15 @@ pub fn schedsweep_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
         PlacementPolicy::Scattered,
         PlacementPolicy::RackAware,
     ];
-    let rows = sweep(
-        platforms().len() * disciplines.len() * placements.len(),
-        opts,
-        Vec::new,
-        |cell, acc: &mut Vec<Vec<String>>| {
-            let c = &platforms()[cell / (disciplines.len() * placements.len())];
-            let d = disciplines[(cell / placements.len()) % disciplines.len()];
-            let p = placements[cell % placements.len()];
-            for pt in schedsweep_points(cfg, c, 80, d, p, &SCHEDSWEEP_LOADS) {
-                acc.push(vec![
+    let cells = platforms().len() * disciplines.len() * placements.len();
+    let rows = map(cells, opts, |cell| {
+        let c = &platforms()[cell / (disciplines.len() * placements.len())];
+        let d = disciplines[(cell / placements.len()) % disciplines.len()];
+        let p = placements[cell % placements.len()];
+        schedsweep_points(cfg, c, 80, d, p, &SCHEDSWEEP_LOADS)
+            .into_iter()
+            .map(|pt| {
+                vec![
                     c.name.to_string(),
                     d.name().to_string(),
                     p.name().to_string(),
@@ -984,12 +968,11 @@ pub fn schedsweep_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
                     fmt_secs(pt.inflation_s),
                     format!("{:.2}", pt.cost_dollars),
                     pt.head_delay_violations.to_string(),
-                ]);
-            }
-        },
-        |total, part| total.extend(part),
-    );
-    for row in rows {
+                ]
+            })
+            .collect::<Vec<_>>()
+    });
+    for row in rows.into_iter().flatten() {
         t.row(row);
     }
     t.note("EASY and conservative backfilling never delay the queue head (head_delays stays 0)");
@@ -1192,7 +1175,7 @@ pub fn faultsched(cfg: &ReproConfig) -> Table {
 }
 
 /// [`faultsched`] with explicit sweep options (thread pinning in tests).
-/// Fans the (platform x discipline) grid out on [`sim_sweep::sweep`];
+/// Fans the (platform x discipline) grid out on [`sim_sweep::map`];
 /// rows stay in the historical nested-loop order for every thread count.
 pub fn faultsched_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
     let mut t = Table::new(
@@ -1213,15 +1196,13 @@ pub fn faultsched_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
         ],
     );
     let disciplines = [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative];
-    let rows = sweep(
-        platforms().len() * disciplines.len(),
-        opts,
-        Vec::new,
-        |cell, acc: &mut Vec<Vec<String>>| {
-            let c = &platforms()[cell / disciplines.len()];
-            let d = disciplines[cell % disciplines.len()];
-            for pt in faultsched_points(cfg, c, d, &FAULTSCHED_SCALES) {
-                acc.push(vec![
+    let rows = map(platforms().len() * disciplines.len(), opts, |cell| {
+        let c = &platforms()[cell / disciplines.len()];
+        let d = disciplines[cell % disciplines.len()];
+        faultsched_points(cfg, c, d, &FAULTSCHED_SCALES)
+            .into_iter()
+            .map(|pt| {
+                vec![
                     c.name.to_string(),
                     d.name().to_string(),
                     fmt_ratio(pt.scale),
@@ -1234,12 +1215,11 @@ pub fn faultsched_with(cfg: &ReproConfig, opts: &SweepOpts) -> Table {
                     pt.failed.to_string(),
                     fmt_secs(pt.work_lost_s),
                     fmt_secs(pt.work_salvaged_s),
-                ]);
-            }
-        },
-        |total, part| total.extend(part),
-    );
-    for row in rows {
+                ]
+            })
+            .collect::<Vec<_>>()
+    });
+    for row in rows.into_iter().flatten() {
         t.row(row);
     }
     t.note("scale 0.0 is bit-identical to the fault-free scheduler path (pinned by the golden digests)");
@@ -1470,22 +1450,10 @@ mod tests {
         let pts = recoverysweep_points(&cfg, &w, &c, 16, &[0.0]);
         // Reconstruct the fault-free checkpointed/verified baselines with
         // the same policies the sweep derives.
-        let colls = {
-            let mut probe = w.build(16);
-            let src = &mut probe.sources[0];
-            let mut n = 0u64;
-            while let Some(op) = src.next_op() {
-                if matches!(op, Op::Coll(_)) {
-                    n += 1;
-                }
-            }
-            n
-        };
-        let ckpt = CheckpointPolicy::new((colls / 4).max(1), 1 << 20);
-        let vpol = VerifyPolicy::new((colls / 8).max(1), 1e7, 1 << 20);
-        let verified = Verified::new(&w, vpol);
-        let plain_ck = Checkpointed::new(&w, ckpt);
-        let abft_ck = Checkpointed::new(&verified, ckpt);
+        let cal = FaultCalibration::new(&cfg, &w, &c, 16);
+        let verified = Verified::new(&w, cal.verify_cuts());
+        let plain_ck = Checkpointed::new(&w, cal.checkpoints());
+        let abft_ck = Checkpointed::new(&verified, cal.checkpoints());
         let (ck_base, _) = Experiment::new(&plain_ck, &c, 16)
             .seed(cfg.seed)
             .run_once()

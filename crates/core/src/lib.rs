@@ -9,7 +9,10 @@
 //! * [`Experiment`] — the min-of-N-repeats runner matching the paper's
 //!   measurement methodology;
 //! * [`figures`] — one driver per figure/table of the evaluation section,
-//!   each returning a renderable [`Table`].
+//!   each returning a renderable [`Table`]; drivers fan their grids out
+//!   through [`sim_sweep`], whose worker count `RAYON_NUM_THREADS` sets;
+//! * [`scheduler`] — the ARRIVE-F batch-queue experiment, run on
+//!   `sim-sched`'s burst scheduler and its job, policy and stats types.
 //!
 //! # Quickstart
 //!
@@ -41,7 +44,7 @@ pub use sim_sched::pricing;
 
 pub use ablations::{ablation_dcc_variants, ablation_ht_packing, all_ablations};
 pub use advisor::{advise, advisor_service, PlatformForecast, Recommendation, WorkloadProfile};
-pub use experiment::{parallel_map, Experiment, PAPER_REPEATS};
+pub use experiment::{Experiment, PAPER_REPEATS};
 pub use figures::{
     all_figures, faultsched, faultsched_points, faultsched_with, faultsweep, faultsweep_points,
     faultsweep_with, fig1_osu_bandwidth, fig2_osu_latency, fig3_npb_serial, fig4_kernel,
@@ -54,9 +57,8 @@ pub use figures::{
 pub use plot::AsciiChart;
 pub use pricing::PriceModel;
 pub use scheduler::{
-    arrive_f_rerun_table, arrive_f_table, contended_mix, contended_sites, simulate_queue,
-    simulate_queue_preemptible, synthetic_mix, Capacities, Job, Policy, Preemption, QueueStats,
-    Site,
+    arrive_f_rerun_table, arrive_f_table, contended_mix, contended_sites, plain_sites,
+    synthetic_mix, Capacities,
 };
 pub use table::{fmt_pct, fmt_ratio, fmt_secs, Table};
 
@@ -76,7 +78,7 @@ pub use workloads;
 
 /// Everything most programs need.
 pub mod prelude {
-    pub use crate::experiment::{parallel_map, Experiment};
+    pub use crate::experiment::Experiment;
     pub use crate::figures::ReproConfig;
     pub use crate::table::Table;
     pub use sim_faults::{FaultModel, FaultSpec, RecoveryStrategy, RetryPolicy};

@@ -8,17 +8,17 @@
 //!
 //! * a **runtime oracle** that predicts each job's per-platform runtime by
 //!   actually simulating it once per platform ([`synthetic_mix`]);
-//! * the historical three-site queue model ([`simulate_queue`]), now a
-//!   thin wrapper over [`sim_sched::simulate_burst`] — FCFS, no
-//!   contention, preserving the original semantics bit for bit;
+//! * the historical three-site queue model ([`plain_sites`]: FCFS, no
+//!   contention) run through [`sim_sched::simulate_burst`];
 //! * the **contended rerun** ([`arrive_f_rerun_table`]): the same
 //!   experiment on the real scheduler — EASY backfill, rack-aware
 //!   placement, link contention on every site — which is where the
 //!   bursting win has to prove itself.
 //!
-//! The in-module event loop this file used to carry (strict FCFS with a
-//! latent naive-backfill head-delay bug) is gone; queue disciplines live
-//! in `sim-sched`, where the EASY invariant is enforced and tested.
+//! Jobs, policies, preemption and outcomes are `sim-sched`'s own burst
+//! types ([`BurstJob`], [`BurstPolicy`], [`sim_sched::PreemptSpec`],
+//! [`sim_sched::BurstStats`]); this module only builds the mixes and the
+//! sites and renders the tables. Site 0 is always Vayu, then DCC and EC2.
 
 use crate::advisor::WorkloadProfile;
 use crate::experiment::Experiment;
@@ -28,81 +28,9 @@ use sim_net::ContentionParams;
 use sim_platform::{presets, Strategy};
 use sim_sched::{
     lublin_burst_mix, simulate_burst, BurstJob, BurstPolicy, BurstSite, Discipline,
-    PlacementPolicy, PreemptSpec, PriceModel,
+    PlacementPolicy, PriceModel,
 };
 use workloads::{Class, Kernel, Npb, Workload};
-
-/// One job in the mix.
-#[derive(Debug, Clone)]
-pub struct Job {
-    pub id: usize,
-    pub name: String,
-    /// Nodes the job occupies on its home (HPC) partition.
-    pub nodes: usize,
-    /// Submission time (seconds).
-    pub submit: f64,
-    /// Predicted runtime on each platform, seconds: [vayu, dcc, ec2].
-    pub runtime: [f64; 3],
-    /// Profiled cloud-friendliness in 0..1.
-    pub friendliness: f64,
-}
-
-/// The three destinations of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Site {
-    Vayu = 0,
-    Dcc = 1,
-    Ec2 = 2,
-}
-
-/// Scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Policy {
-    /// All jobs queue on the HPC partition.
-    HpcOnly,
-    /// ARRIVE-F: a job whose cloud-friendliness exceeds `threshold` may be
-    /// started immediately on an idle cloud site when the HPC partition
-    /// cannot run it right away.
-    CloudBurst { threshold: f64 },
-    /// Cost-aware bursting — the paper's future work ("we plan to
-    /// integrate Amazon EC2 spot-pricing into our local ANUPBS scheduler"):
-    /// burst only when the job is cloud-friendly AND its spot-price cost on
-    /// the candidate site stays under `max_dollars`.
-    CostAwareBurst { threshold: f64, max_dollars: f64 },
-}
-
-/// Outcome of one scheduled job.
-#[derive(Debug, Clone)]
-pub struct Scheduled {
-    pub id: usize,
-    pub site: Site,
-    pub wait: f64,
-    pub runtime: f64,
-}
-
-/// Aggregate metrics of a simulation.
-#[derive(Debug, Clone)]
-pub struct QueueStats {
-    pub jobs: Vec<Scheduled>,
-    pub mean_wait: f64,
-    pub mean_turnaround: f64,
-    pub burst_fraction: f64,
-    /// Cloud jobs killed by a spot/instance preemption and relocated back
-    /// to the HPC backlog (0 unless simulated with [`Preemption`]).
-    pub preemptions: usize,
-}
-
-/// Spot/instance preemption on the cloud sites, for
-/// [`simulate_queue_preemptible`]: each job started on DCC or EC2 draws an
-/// exponential time-to-preempt at `rate_per_node_hour * nodes`; if it fires
-/// before the job completes, the job is killed, its work is lost, and
-/// ARRIVE-F relocates it to the back of the HPC queue (the conservative
-/// recovery: the home partition can always run it).
-#[derive(Debug, Clone, Copy)]
-pub struct Preemption {
-    pub rate_per_node_hour: f64,
-    pub seed: u64,
-}
 
 /// Capacities of the three sites, in nodes.
 #[derive(Debug, Clone, Copy)]
@@ -126,113 +54,23 @@ impl Default for Capacities {
     }
 }
 
-fn to_policy(policy: Policy) -> BurstPolicy {
-    match policy {
-        Policy::HpcOnly => BurstPolicy::HpcOnly,
-        Policy::CloudBurst { threshold } => BurstPolicy::CloudBurst { threshold },
-        Policy::CostAwareBurst {
-            threshold,
-            max_dollars,
-        } => BurstPolicy::CostAwareBurst {
-            threshold,
-            max_dollars,
-        },
-    }
-}
-
-fn to_burst_jobs(jobs: &[Job]) -> Vec<BurstJob> {
-    jobs.iter()
-        .map(|j| BurstJob {
-            id: j.id,
-            name: j.name.clone(),
-            nodes: j.nodes,
-            submit: j.submit,
-            runtime: j.runtime.to_vec(),
-            comm_fraction: 0.0,
-            friendliness: j.friendliness,
-        })
-        .collect()
-}
-
 /// The historical site model: FCFS everywhere, no contention, jobs run at
-/// their nominal runtimes.
-fn plain_sites(caps: Capacities, preempt_rate: f64) -> Vec<BurstSite> {
-    let mut sites = vec![
+/// their nominal runtimes. The sites are not revocable; set
+/// `preempt_per_node_hour` on the two cloud sites and pass a
+/// [`sim_sched::PreemptSpec`] to run ARRIVE-F on spot capacity.
+pub fn plain_sites(caps: Capacities) -> Vec<BurstSite> {
+    vec![
         BurstSite::plain("vayu", caps.vayu, PriceModel::hpc_service_units()),
         BurstSite::plain("dcc", caps.dcc, PriceModel::private_cloud()),
         BurstSite::plain("ec2", caps.ec2, PriceModel::ec2_2012()),
-    ];
-    for s in &mut sites[1..] {
-        s.preempt_per_node_hour = preempt_rate;
-    }
-    sites
-}
-
-fn to_stats(jobs: &[Job], stats: sim_sched::BurstStats) -> QueueStats {
-    debug_assert_eq!(jobs.len(), stats.jobs.len());
-    QueueStats {
-        mean_wait: stats.mean_wait,
-        mean_turnaround: stats.mean_turnaround,
-        burst_fraction: stats.burst_fraction,
-        preemptions: stats.preemptions,
-        jobs: stats
-            .jobs
-            .iter()
-            .map(|o| Scheduled {
-                id: o.id,
-                site: match o.site {
-                    0 => Site::Vayu,
-                    1 => Site::Dcc,
-                    _ => Site::Ec2,
-                },
-                wait: o.wait,
-                runtime: o.runtime,
-            })
-            .collect(),
-    }
-}
-
-/// Simulate a job stream under `policy`. FCFS per site; a cloud-burst is
-/// attempted at submission time only (matching ARRIVE-F's relocation at
-/// schedule time). Deterministic.
-pub fn simulate_queue(jobs: &[Job], caps: Capacities, policy: Policy) -> QueueStats {
-    let stats = simulate_burst(
-        &to_burst_jobs(jobs),
-        &plain_sites(caps, 0.0),
-        to_policy(policy),
-        None,
-        None,
-    )
-    .expect("plain sites cannot fragment");
-    to_stats(jobs, stats)
-}
-
-/// [`simulate_queue`] with cloud preemptions: jobs bursted to DCC/EC2 may be
-/// killed mid-run and requeued on the HPC partition, losing their cloud
-/// progress. Quantifies how much of ARRIVE-F's waiting-time win survives on
-/// revocable (spot-priced) capacity.
-pub fn simulate_queue_preemptible(
-    jobs: &[Job],
-    caps: Capacities,
-    policy: Policy,
-    preempt: Preemption,
-) -> QueueStats {
-    let stats = simulate_burst(
-        &to_burst_jobs(jobs),
-        &plain_sites(caps, preempt.rate_per_node_hour),
-        to_policy(policy),
-        Some(PreemptSpec { seed: preempt.seed }),
-        None,
-    )
-    .expect("plain sites cannot fragment");
-    to_stats(jobs, stats)
+    ]
 }
 
 /// Build a deterministic synthetic job mix by actually profiling each
 /// kernel once per platform (the "lightweight online profiling" of
 /// ARRIVE-F, §II). `load` scales the arrival rate: 1.0 saturates the HPC
-/// partition.
-pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<Job> {
+/// partition. Runtimes are per site in [`plain_sites`] order.
+pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<BurstJob> {
     // Candidate job templates: kernel at a rank count, profiled once.
     let templates: Vec<(Kernel, usize)> = vec![
         (Kernel::Ep, 16),
@@ -286,12 +124,13 @@ pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<Job> {
         .map(|id| {
             let (rt, friendliness, name, nodes) = &profiled[rng.index(profiled.len())];
             t += rng.exponential(mean_interarrival);
-            Job {
+            BurstJob {
                 id,
                 name: name.clone(),
                 nodes: *nodes,
                 submit: t,
-                runtime: *rt,
+                runtime: rt.to_vec(),
+                comm_fraction: 0.0,
                 friendliness: *friendliness,
             }
         })
@@ -311,11 +150,14 @@ pub fn arrive_f_table(n_jobs: usize, seed: u64) -> Table {
             "%bursted",
         ],
     );
+    let sites = plain_sites(Capacities::default());
     for load in [0.7, 1.0, 1.3, 1.6] {
         let jobs = synthetic_mix(n_jobs, load, seed);
-        let caps = Capacities::default();
-        let hpc = simulate_queue(&jobs, caps, Policy::HpcOnly);
-        let burst = simulate_queue(&jobs, caps, Policy::CloudBurst { threshold: 0.55 });
+        let run = |policy| {
+            simulate_burst(&jobs, &sites, policy, None, None).expect("plain sites cannot fragment")
+        };
+        let hpc = run(BurstPolicy::HpcOnly);
+        let burst = run(BurstPolicy::CloudBurst { threshold: 0.55 });
         let improvement = if hpc.mean_wait > 0.0 {
             1.0 - burst.mean_wait / hpc.mean_wait
         } else {
@@ -415,14 +257,8 @@ pub fn arrive_f_rerun_table(n_jobs: usize, seed: u64) -> Table {
             "EASY invariant broke"
         );
         // The historical model (FCFS, no contention) as the "before".
-        let plain = simulate_burst(
-            &jobs,
-            &plain_sites(caps, 0.0),
-            BurstPolicy::HpcOnly,
-            None,
-            None,
-        )
-        .expect("plain sites cannot fragment");
+        let plain = simulate_burst(&jobs, &plain_sites(caps), BurstPolicy::HpcOnly, None, None)
+            .expect("plain sites cannot fragment");
         let improvement = if hpc.mean_wait > 0.0 {
             1.0 - burst.mean_wait / hpc.mean_wait
         } else {
@@ -447,153 +283,6 @@ pub fn arrive_f_rerun_table(n_jobs: usize, seed: u64) -> Table {
 mod tests {
     use super::*;
 
-    fn quick_jobs() -> Vec<Job> {
-        // Hand-built mix: 4-node jobs on an 8-node partition.
-        (0..8)
-            .map(|i| Job {
-                id: i,
-                name: format!("j{i}"),
-                nodes: 4,
-                submit: i as f64,
-                runtime: [100.0, 140.0, 160.0],
-                friendliness: if i % 2 == 0 { 0.9 } else { 0.1 },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fcfs_conserves_jobs_and_orders_waits() {
-        let stats = simulate_queue(&quick_jobs(), Capacities::default(), Policy::HpcOnly);
-        assert_eq!(stats.jobs.len(), 8);
-        // 2 jobs fit at a time; later submissions wait longer.
-        let w: Vec<f64> = stats.jobs.iter().map(|s| s.wait).collect();
-        assert!(w[0] < 1e-9 && w[1] < 1e-9, "{w:?}");
-        assert!(w[7] > w[2], "{w:?}");
-        assert!(stats.burst_fraction == 0.0);
-    }
-
-    #[test]
-    fn cloud_burst_reduces_waits_for_friendly_jobs() {
-        let caps = Capacities::default();
-        let hpc = simulate_queue(&quick_jobs(), caps, Policy::HpcOnly);
-        let burst = simulate_queue(&quick_jobs(), caps, Policy::CloudBurst { threshold: 0.5 });
-        assert!(burst.mean_wait < hpc.mean_wait);
-        assert!(burst.burst_fraction > 0.0);
-        // Unfriendly jobs never burst.
-        for s in &burst.jobs {
-            if s.id % 2 == 1 {
-                assert_eq!(s.site, Site::Vayu, "{s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn bursted_jobs_pay_their_cloud_runtime() {
-        let burst = simulate_queue(
-            &quick_jobs(),
-            Capacities::default(),
-            Policy::CloudBurst { threshold: 0.5 },
-        );
-        for s in &burst.jobs {
-            match s.site {
-                Site::Vayu => assert_eq!(s.runtime, 100.0),
-                Site::Dcc => assert_eq!(s.runtime, 140.0),
-                Site::Ec2 => assert_eq!(s.runtime, 160.0),
-            }
-        }
-    }
-
-    #[test]
-    fn cost_cap_suppresses_expensive_bursts() {
-        // With a zero budget nothing ever bursts; with an unlimited budget
-        // the policy degenerates to plain CloudBurst.
-        let caps = Capacities::default();
-        let zero = simulate_queue(
-            &quick_jobs(),
-            caps,
-            Policy::CostAwareBurst {
-                threshold: 0.5,
-                max_dollars: 0.0,
-            },
-        );
-        assert_eq!(zero.burst_fraction, 0.0);
-        let lax = simulate_queue(
-            &quick_jobs(),
-            caps,
-            Policy::CostAwareBurst {
-                threshold: 0.5,
-                max_dollars: f64::INFINITY,
-            },
-        );
-        let plain = simulate_queue(&quick_jobs(), caps, Policy::CloudBurst { threshold: 0.5 });
-        assert_eq!(lax.burst_fraction, plain.burst_fraction);
-        assert_eq!(lax.mean_wait, plain.mean_wait);
-    }
-
-    #[test]
-    fn tight_budget_prefers_the_cheap_private_cloud() {
-        // EC2 spot for a 4-node 160 s job is a full billed hour per node at
-        // spot rates (~$1.8); the private cloud costs cents. A budget
-        // between the two forces all bursts onto DCC.
-        let caps = Capacities::default();
-        let tight = simulate_queue(
-            &quick_jobs(),
-            caps,
-            Policy::CostAwareBurst {
-                threshold: 0.5,
-                max_dollars: 0.50,
-            },
-        );
-        assert!(tight.burst_fraction > 0.0);
-        for s in &tight.jobs {
-            assert_ne!(s.site, Site::Ec2, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn preemption_requeues_cloud_jobs_to_hpc() {
-        let caps = Capacities::default();
-        let policy = Policy::CloudBurst { threshold: 0.5 };
-        let base = simulate_queue(&quick_jobs(), caps, policy);
-        assert!(base.burst_fraction > 0.0);
-        // An absurdly hostile revocation rate kills every cloud run almost
-        // immediately: every job finishes on Vayu and the bursting win is
-        // wiped out.
-        let spec = Preemption {
-            rate_per_node_hour: 1e6,
-            seed: 11,
-        };
-        let hostile = simulate_queue_preemptible(&quick_jobs(), caps, policy, spec);
-        assert!(hostile.preemptions > 0);
-        for s in &hostile.jobs {
-            assert_eq!(s.site, Site::Vayu, "{s:?}");
-        }
-        assert!(hostile.mean_wait > base.mean_wait);
-        // Same seed, same outcome.
-        let again = simulate_queue_preemptible(&quick_jobs(), caps, policy, spec);
-        assert_eq!(hostile.mean_wait, again.mean_wait);
-        assert_eq!(hostile.preemptions, again.preemptions);
-    }
-
-    #[test]
-    fn zero_preemption_rate_matches_plain_queue() {
-        let caps = Capacities::default();
-        let policy = Policy::CloudBurst { threshold: 0.5 };
-        let base = simulate_queue(&quick_jobs(), caps, policy);
-        let calm = simulate_queue_preemptible(
-            &quick_jobs(),
-            caps,
-            policy,
-            Preemption {
-                rate_per_node_hour: 0.0,
-                seed: 11,
-            },
-        );
-        assert_eq!(calm.preemptions, 0);
-        assert_eq!(calm.mean_wait, base.mean_wait);
-        assert_eq!(calm.mean_turnaround, base.mean_turnaround);
-    }
-
     #[test]
     #[cfg_attr(debug_assertions, ignore = "heavy simulation; run with --release")]
     fn deterministic_mix() {
@@ -603,6 +292,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.submit, y.submit);
             assert_eq!(x.name, y.name);
+            assert_eq!(x.runtime.len(), plain_sites(Capacities::default()).len());
         }
     }
 

@@ -113,9 +113,12 @@ impl BurstJob {
 pub enum BurstPolicy {
     /// All jobs queue on the home partition.
     HpcOnly,
-    /// Burst jobs with friendliness >= `threshold` when home is busy.
+    /// ARRIVE-F: burst jobs with friendliness >= `threshold` when home is
+    /// busy.
     CloudBurst { threshold: f64 },
-    /// Burst only within a per-job spot budget.
+    /// Cost-aware bursting, the paper's future work ("integrate Amazon EC2
+    /// spot-pricing into our local ANUPBS scheduler"): as `CloudBurst`, but
+    /// only to a site whose spot cost for the job is within `max_dollars`.
     CostAwareBurst { threshold: f64, max_dollars: f64 },
 }
 
@@ -419,6 +422,13 @@ mod tests {
     fn bursting_cuts_waits_and_respects_threshold() {
         let hpc =
             simulate_burst(&quick_jobs(), &sites(), BurstPolicy::HpcOnly, None, None).unwrap();
+        // FCFS at home: two 4-node jobs fit at a time, so the first two
+        // start at once and later submissions wait longer.
+        let w: Vec<f64> = hpc.jobs.iter().map(|s| s.wait).collect();
+        assert_eq!(w.len(), 8);
+        assert!(w[0] < 1e-9 && w[1] < 1e-9, "{w:?}");
+        assert!(w[7] > w[2], "{w:?}");
+        assert_eq!(hpc.burst_fraction, 0.0);
         let burst = simulate_burst(
             &quick_jobs(),
             &sites(),
@@ -433,19 +443,61 @@ mod tests {
             if s.id % 2 == 1 {
                 assert_eq!(s.site, 0, "{s:?}");
             }
+            // Each job is billed the runtime of the site it ran on.
+            assert_eq!(s.runtime, quick_jobs()[s.id].runtime[s.site], "{s:?}");
+        }
+    }
+
+    #[test]
+    fn cost_caps_keep_bursts_within_budget() {
+        let run = |policy| simulate_burst(&quick_jobs(), &sites(), policy, None, None).unwrap();
+        let capped = |max_dollars| {
+            run(BurstPolicy::CostAwareBurst {
+                threshold: 0.5,
+                max_dollars,
+            })
+        };
+        // A zero budget never bursts; an unlimited one is plain bursting.
+        assert_eq!(capped(0.0).burst_fraction, 0.0);
+        let lax = capped(f64::INFINITY);
+        let plain = run(BurstPolicy::CloudBurst { threshold: 0.5 });
+        assert_eq!(lax.burst_fraction, plain.burst_fraction);
+        assert_eq!(lax.mean_wait, plain.mean_wait);
+        // EC2 spot bills a 4-node 160 s job a full hour per node (~$1.8);
+        // the private cloud costs cents. A budget between the two sends
+        // every burst to DCC.
+        let tight = capped(0.50);
+        assert!(tight.burst_fraction > 0.0);
+        for s in &tight.jobs {
+            assert_ne!(s.site, 2, "{s:?}");
         }
     }
 
     #[test]
     fn checkpoint_salvages_preempted_work() {
+        let policy = BurstPolicy::CloudBurst { threshold: 0.5 };
+        let p = Some(PreemptSpec { seed: 11 });
+        let base = simulate_burst(&quick_jobs(), &sites(), policy, None, None).unwrap();
+        // Armed preemption at a zero revocation rate is the unpreempted run.
+        let calm = simulate_burst(&quick_jobs(), &sites(), policy, p, None).unwrap();
+        assert_eq!(calm.preemptions, 0);
+        assert_eq!(calm.mean_wait, base.mean_wait);
+        assert_eq!(calm.mean_turnaround, base.mean_turnaround);
         let mut sites = sites();
         // Hot revocation on both clouds: every cloud run dies.
         sites[1].preempt_per_node_hour = 1e6;
         sites[2].preempt_per_node_hour = 1e6;
-        let policy = BurstPolicy::CloudBurst { threshold: 0.5 };
-        let p = Some(PreemptSpec { seed: 11 });
         let lost = simulate_burst(&quick_jobs(), &sites, policy, p, None).unwrap();
         assert!(lost.preemptions > 0);
+        // Every revoked job requeues home, which wipes out the bursting
+        // win; the same seed gives the same outcome.
+        for s in &lost.jobs {
+            assert_eq!(s.site, 0, "{s:?}");
+        }
+        assert!(lost.mean_wait > base.mean_wait);
+        let again = simulate_burst(&quick_jobs(), &sites, policy, p, None).unwrap();
+        assert_eq!(again.mean_wait, lost.mean_wait);
+        assert_eq!(again.preemptions, lost.preemptions);
         // With an absurdly hostile rate the kill lands in the first
         // instants: nothing was completed, so checkpointing salvages
         // nothing and requeued runtimes match the no-checkpoint case.

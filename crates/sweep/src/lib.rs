@@ -25,8 +25,9 @@
 //! For cross-run digests there is also [`MergedDigest`], an
 //! order-*independent* commutative combiner: absorb `(cell, digest)` pairs
 //! in any order on any thread and the final value matches the serial fold.
-//! Use the ordered merge when output order matters (table rows); use the
-//! digest when only the *set* of per-cell results matters.
+//! Use the ordered merge when output order matters (table rows) — [`map`]
+//! is its one-output-per-cell form; use the digest when only the *set* of
+//! per-cell results matters.
 //!
 //! The worker pool is built from `std::thread::scope` — no external
 //! dependencies. The thread count comes from [`SweepOpts::threads`], else
@@ -163,6 +164,26 @@ where
     total
 }
 
+/// Evaluate `f(cell)` for every cell of `0..n_cells` on the sweep's worker
+/// pool and return the outputs in cell order: [`sweep`] with a `Vec` per
+/// shard and concatenation as the merge. Each output depends only on its
+/// cell, so the result is the serial `(0..n_cells).map(f)` for every
+/// worker count. Workers claim cells in ascending order, so a grid listed
+/// costliest-first finishes sooner.
+pub fn map<O, F>(n_cells: usize, opts: &SweepOpts, f: F) -> Vec<O>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    sweep(
+        n_cells,
+        opts,
+        Vec::new,
+        |cell, acc: &mut Vec<O>| acc.push(f(cell)),
+        |total, part| total.extend(part),
+    )
+}
+
 /// Derive the RNG seed for one cell of a sweep grid: a pure splitmix64
 /// mix of the base seed and the cell index. Distinct cells get decorrelated
 /// seeds; the same `(base, cell)` pair always gets the same seed, no matter
@@ -255,6 +276,7 @@ mod tests {
                 |total, part| total.extend(part),
             );
             assert_eq!(out, (0..1000).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(map(1000, &opts, |cell| cell), out, "threads={threads}");
         }
     }
 
@@ -354,6 +376,7 @@ mod tests {
             |t, p| t.extend(p),
         );
         assert_eq!(one, vec![0]);
+        assert!(map(0, &opts, |c| c).is_empty());
     }
 
     #[test]

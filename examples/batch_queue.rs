@@ -9,7 +9,8 @@
 //! cargo run --release --example batch_queue [n_jobs] [seed]
 //! ```
 
-use cloudsim::{arrive_f_table, simulate_queue, synthetic_mix, Capacities, Policy, Site};
+use cloudsim::sim_sched::{simulate_burst, BurstPolicy};
+use cloudsim::{arrive_f_table, plain_sites, synthetic_mix, Capacities};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,15 +24,13 @@ fn main() {
 
     // A closer look at one contended scenario.
     let jobs = synthetic_mix(n_jobs, 1.3, seed);
-    let caps = Capacities::default();
-    let stats = simulate_queue(&jobs, caps, Policy::CloudBurst { threshold: 0.55 });
+    let sites = plain_sites(Capacities::default());
+    let policy = BurstPolicy::CloudBurst { threshold: 0.55 };
+    let stats =
+        simulate_burst(&jobs, &sites, policy, None, None).expect("plain sites cannot fragment");
     let mut by_site = [0usize; 3];
     for s in &stats.jobs {
-        by_site[match s.site {
-            Site::Vayu => 0,
-            Site::Dcc => 1,
-            Site::Ec2 => 2,
-        }] += 1;
+        by_site[s.site] += 1;
     }
     println!(
         "at load 1.3: {} jobs -> vayu {}, dcc {}, ec2 {}; mean wait {:.1}s, mean turnaround {:.1}s",
@@ -44,8 +43,8 @@ fn main() {
     println!("\nworst five waits under cloud-bursting (all on the HPC partition):");
     for s in sorted.iter().take(5) {
         println!(
-            "  job {:>3} on {:?}: waited {:.1}s, ran {:.1}s",
-            s.id, s.site, s.wait, s.runtime
+            "  job {:>3} on {}: waited {:.1}s, ran {:.1}s",
+            s.id, sites[s.site].name, s.wait, s.runtime
         );
     }
 }

@@ -11,6 +11,7 @@
 //! ```
 
 use cloudsim::prelude::*;
+use cloudsim::sim_sweep::{map, SweepOpts};
 use cloudsim::{fmt_pct, fmt_ratio, Table};
 
 fn main() {
@@ -40,7 +41,9 @@ fn main() {
         ],
     );
 
-    let rows = cloudsim::parallel_map(Kernel::all().to_vec(), |k| {
+    let kernels = Kernel::all();
+    let rows = map(kernels.len(), &SweepOpts::default(), |i| {
+        let k = kernels[i];
         // BT/SP need square counts; snap down.
         let np_k = if matches!(k, Kernel::Bt | Kernel::Sp) {
             let q = (np as f64).sqrt().floor() as usize;

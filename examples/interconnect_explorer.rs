@@ -11,39 +11,17 @@
 //! cargo run --release --example interconnect_explorer
 //! ```
 
+use cloudsim::ablations::{dcc_bare_metal, dcc_numa_exposed, dcc_with_infiniband};
 use cloudsim::prelude::*;
-use cloudsim::sim_net::{FabricParams, Topology};
-use cloudsim::sim_platform::HypervisorModel;
+use cloudsim::sim_sweep::{map, SweepOpts};
 use cloudsim::{fmt_pct, fmt_ratio, Table};
 
-/// DCC upgraded with a QDR InfiniBand fabric (same VMs, same NFS).
-fn dcc_with_ib() -> ClusterSpec {
-    let mut c = presets::dcc();
-    c.name = "dcc+ib";
-    c.topology = Topology::single_switch(FabricParams::qdr_infiniband(), c.topology.intra.clone());
-    c
-}
-
-/// DCC with guest-visible NUMA (hypervisor affinity support).
-fn dcc_numa_exposed() -> ClusterSpec {
-    let mut c = presets::dcc();
-    c.name = "dcc+numa";
-    c.node.hypervisor.numa_masked = false;
-    c
-}
-
-/// DCC bare metal: the same blades without ESX at all.
-fn dcc_bare_metal() -> ClusterSpec {
-    let mut c = presets::dcc();
-    c.name = "dcc-bare";
-    c.node.hypervisor = HypervisorModel::bare_metal();
-    c
-}
-
 fn main() {
+    // DCC with one component swapped at a time (the ablation variants):
+    // QDR InfiniBand, guest-visible NUMA, no hypervisor; Vayu bounds them.
     let variants: Vec<ClusterSpec> = vec![
         presets::dcc(),
-        dcc_with_ib(),
+        dcc_with_infiniband(),
         dcc_numa_exposed(),
         dcc_bare_metal(),
         presets::vayu(),
@@ -55,8 +33,9 @@ fn main() {
             format!("What-if: {} at np={np}", w.name()),
             vec!["platform", "elapsed_s", "vs_dcc", "%comm"],
         );
-        let runs = cloudsim::parallel_map(variants.clone(), |c| {
-            let (res, _) = cloudsim::Experiment::new(&w, &c, np)
+        let runs = map(variants.len(), &SweepOpts::default(), |i| {
+            let c = &variants[i];
+            let (res, _) = cloudsim::Experiment::new(&w, c, np)
                 .run_min()
                 .expect("variant run");
             (c.name, res.elapsed_secs(), res.comm_pct())

@@ -132,13 +132,14 @@ fn advisor_agrees_with_direct_simulation() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy simulation; run with --release")]
 fn scheduler_invariants_over_a_profiled_mix() {
+    use cloudsim::sim_sched::{simulate_burst, BurstPolicy};
     let jobs = cloudsim::synthetic_mix(30, 1.2, 5);
-    let caps = cloudsim::Capacities::default();
+    let sites = cloudsim::plain_sites(cloudsim::Capacities::default());
     for policy in [
-        cloudsim::Policy::HpcOnly,
-        cloudsim::Policy::CloudBurst { threshold: 0.5 },
+        BurstPolicy::HpcOnly,
+        BurstPolicy::CloudBurst { threshold: 0.5 },
     ] {
-        let stats = cloudsim::simulate_queue(&jobs, caps, policy);
+        let stats = simulate_burst(&jobs, &sites, policy, None, None).unwrap();
         assert_eq!(stats.jobs.len(), 30);
         for s in &stats.jobs {
             assert!(s.wait >= 0.0 && s.runtime > 0.0, "{s:?}");
