@@ -181,13 +181,6 @@ impl VerdictCache {
         self.len() == 0
     }
 
-    /// Drop every entry (counters keep accumulating).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            write_lock(s).map.clear();
-        }
-    }
-
     /// All resident `(query, verdict)` pairs sorted by content key — the
     /// deterministic iteration order snapshots are written in.
     pub fn entries_sorted(&self) -> Vec<(Query, Verdict)> {

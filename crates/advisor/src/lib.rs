@@ -23,7 +23,11 @@
 //!   worker count;
 //! * [`snapshot`] — a versioned, checksummed, fingerprint-guarded binary
 //!   snapshot so a warmed cache ships with the binary and stale caches
-//!   refuse to load.
+//!   refuse to load;
+//! * [`AdvisorService::recommend`] — the paper's cloud-bursting question
+//!   as one [`Advice`]: the supercomputer run's [`QueryProfile`] and the
+//!   three platforms ranked by time and by dollars (`cloudsim::advise`
+//!   is a thin call into it).
 //!
 //! ```
 //! use sim_advisor::{AdvisorService, PlatformId, Query, WorkloadId};
@@ -49,7 +53,7 @@ pub mod snapshot;
 pub use cache::{CacheStats, VerdictCache, DEFAULT_SHARDS, DEFAULT_SHARD_CAPACITY};
 pub use error::AdvisorError;
 pub use query::{
-    all_workloads, PlatformId, Query, QueryKey, QueryPolicy, WorkloadId, DEFAULT_QUERY_SEED,
+    PlatformId, Query, QueryKey, QueryPolicy, WorkloadId, DEFAULT_QUERY_SEED,
     QUERY_ENCODING_VERSION,
 };
 pub use service::{

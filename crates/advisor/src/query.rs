@@ -19,7 +19,7 @@ use crate::error::AdvisorError;
 use sim_des::splitmix64;
 use sim_platform::{presets, ClusterSpec, Strategy};
 use sim_sweep::fnv64;
-use workloads::{Chaste, Class, Kernel, MetUm, Npb, Workload};
+use workloads::{Class, Kernel};
 
 /// Bumped whenever the canonical byte encoding changes shape. Baked into
 /// every encoding (and therefore every content hash and snapshot record):
@@ -27,134 +27,52 @@ use workloads::{Chaste, Class, Kernel, MetUm, Npb, Workload};
 pub const QUERY_ENCODING_VERSION: u8 = 1;
 
 /// The seed queries default to — the same base seed
-/// `cloudsim::Experiment` uses, so a default-seed query reproduces the
-/// legacy `advise()` numbers bit for bit.
+/// `cloudsim::Experiment` uses, so a default-seed query reproduces an
+/// `Experiment::run_once` at the same placement bit for bit.
 pub const DEFAULT_QUERY_SEED: u64 = 0x5EED_0000;
 
-/// Which workload a query asks about, in canonical (buildable) form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkloadId {
-    /// A NAS Parallel Benchmark kernel at a problem class.
-    Npb { kernel: Kernel, class: Class },
-    /// The MetUM atmosphere benchmark at a timestep count.
-    MetUm { timesteps: u32 },
-    /// The Chaste cardiac benchmark.
-    Chaste { timesteps: u32, cg_iters: u32 },
-}
+/// Which workload a query asks about: the workloads crate's canonical,
+/// buildable descriptor.
+pub use workloads::WorkloadDesc as WorkloadId;
 
-impl From<workloads::WorkloadDesc> for WorkloadId {
-    fn from(d: workloads::WorkloadDesc) -> WorkloadId {
-        match d {
-            workloads::WorkloadDesc::Npb { kernel, class } => WorkloadId::Npb { kernel, class },
-            workloads::WorkloadDesc::MetUm { timesteps } => WorkloadId::MetUm { timesteps },
-            workloads::WorkloadDesc::Chaste {
-                timesteps,
-                cg_iters,
-            } => WorkloadId::Chaste {
-                timesteps,
-                cg_iters,
-            },
+fn encode_workload(w: &WorkloadId, out: &mut Vec<u8>) {
+    match *w {
+        WorkloadId::Npb { kernel, class } => {
+            out.push(0x01);
+            out.push(kernel_tag(kernel));
+            out.push(class_tag(class));
+        }
+        WorkloadId::MetUm { timesteps } => {
+            out.push(0x02);
+            out.extend_from_slice(&timesteps.to_le_bytes());
+        }
+        WorkloadId::Chaste {
+            timesteps,
+            cg_iters,
+        } => {
+            out.push(0x03);
+            out.extend_from_slice(&timesteps.to_le_bytes());
+            out.extend_from_slice(&cg_iters.to_le_bytes());
         }
     }
 }
 
-impl WorkloadId {
-    /// Build the op programs for `np` ranks.
-    pub fn build(&self, np: usize) -> sim_mpi::JobSpec {
-        match *self {
-            WorkloadId::Npb { kernel, class } => Npb::new(kernel, class).build(np),
-            WorkloadId::MetUm { timesteps } => MetUm {
-                timesteps: timesteps as usize,
-            }
-            .build(np),
-            WorkloadId::Chaste {
-                timesteps,
-                cg_iters,
-            } => Chaste {
-                timesteps: timesteps as usize,
-                cg_iters: cg_iters as usize,
-            }
-            .build(np),
-        }
-    }
-
-    /// Resident memory per rank (drives memory-aware placement on EC2).
-    pub fn memory_per_rank_bytes(&self, np: usize) -> u64 {
-        match *self {
-            WorkloadId::Npb { kernel, class } => Npb::new(kernel, class).memory_per_rank_bytes(np),
-            WorkloadId::MetUm { timesteps } => MetUm {
-                timesteps: timesteps as usize,
-            }
-            .memory_per_rank_bytes(np),
-            WorkloadId::Chaste {
-                timesteps,
-                cg_iters,
-            } => Chaste {
-                timesteps: timesteps as usize,
-                cg_iters: cg_iters as usize,
-            }
-            .memory_per_rank_bytes(np),
-        }
-    }
-
-    /// Report name ("cg.A", "metum.n320l70.18steps", ...).
-    pub fn name(&self) -> String {
-        match *self {
-            WorkloadId::Npb { kernel, class } => Npb::new(kernel, class).name(),
-            WorkloadId::MetUm { timesteps } => MetUm {
-                timesteps: timesteps as usize,
-            }
-            .name(),
-            WorkloadId::Chaste {
-                timesteps,
-                cg_iters,
-            } => Chaste {
-                timesteps: timesteps as usize,
-                cg_iters: cg_iters as usize,
-            }
-            .name(),
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            WorkloadId::Npb { kernel, class } => {
-                out.push(0x01);
-                out.push(kernel_tag(kernel));
-                out.push(class_tag(class));
-            }
-            WorkloadId::MetUm { timesteps } => {
-                out.push(0x02);
-                out.extend_from_slice(&timesteps.to_le_bytes());
-            }
-            WorkloadId::Chaste {
-                timesteps,
-                cg_iters,
-            } => {
-                out.push(0x03);
-                out.extend_from_slice(&timesteps.to_le_bytes());
-                out.extend_from_slice(&cg_iters.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WorkloadId, AdvisorError> {
-        match r.u8()? {
-            0x01 => Ok(WorkloadId::Npb {
-                kernel: kernel_from_tag(r.u8()?)?,
-                class: class_from_tag(r.u8()?)?,
-            }),
-            0x02 => Ok(WorkloadId::MetUm {
-                timesteps: r.u32()?,
-            }),
-            0x03 => Ok(WorkloadId::Chaste {
-                timesteps: r.u32()?,
-                cg_iters: r.u32()?,
-            }),
-            t => Err(AdvisorError::SnapshotCorrupt(format!(
-                "unknown workload tag {t:#x}"
-            ))),
-        }
+fn decode_workload(r: &mut Reader<'_>) -> Result<WorkloadId, AdvisorError> {
+    match r.u8()? {
+        0x01 => Ok(WorkloadId::Npb {
+            kernel: kernel_from_tag(r.u8()?)?,
+            class: class_from_tag(r.u8()?)?,
+        }),
+        0x02 => Ok(WorkloadId::MetUm {
+            timesteps: r.u32()?,
+        }),
+        0x03 => Ok(WorkloadId::Chaste {
+            timesteps: r.u32()?,
+            cg_iters: r.u32()?,
+        }),
+        t => Err(AdvisorError::SnapshotCorrupt(format!(
+            "unknown workload tag {t:#x}"
+        ))),
     }
 }
 
@@ -274,8 +192,8 @@ impl PlatformId {
 /// How ranks are placed for the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPolicy {
-    /// The legacy `advise()` policy: memory-aware block packing on EC2
-    /// when the workload declares a footprint, plain block otherwise.
+    /// The advisor's policy: memory-aware block packing on EC2 when the
+    /// workload declares a footprint, plain block otherwise.
     Auto,
     /// Plain block packing everywhere.
     Block,
@@ -351,7 +269,7 @@ impl QueryKey {
 }
 
 impl Query {
-    /// A query with the legacy advisor's defaults (auto policy, the
+    /// A query with the advisor's defaults (auto policy, the
     /// `Experiment` base seed).
     pub fn new(workload: WorkloadId, platform: PlatformId, np: u32) -> Query {
         Query {
@@ -392,7 +310,7 @@ impl Query {
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         out.push(QUERY_ENCODING_VERSION);
-        self.workload.encode(&mut out);
+        encode_workload(&self.workload, &mut out);
         out.push(self.platform.tag());
         out.extend_from_slice(&self.np.to_le_bytes());
         self.policy.encode(&mut out);
@@ -410,7 +328,7 @@ impl Query {
                 "query encoding version {ver} (expected {QUERY_ENCODING_VERSION})"
             )));
         }
-        let workload = WorkloadId::decode(&mut r)?;
+        let workload = decode_workload(&mut r)?;
         let platform = PlatformId::from_tag(r.u8()?)?;
         let np = r.u32()?;
         let policy = QueryPolicy::decode(&mut r)?;
@@ -480,32 +398,6 @@ impl Reader<'_> {
         b.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(b))
     }
-}
-
-/// Every NPB kernel × class combination plus the two applications —
-/// convenient fleet-building fodder for tests, benches and examples.
-pub fn all_workloads() -> Vec<WorkloadId> {
-    let mut ids = Vec::new();
-    for kernel in [
-        Kernel::Bt,
-        Kernel::Cg,
-        Kernel::Ep,
-        Kernel::Ft,
-        Kernel::Is,
-        Kernel::Lu,
-        Kernel::Mg,
-        Kernel::Sp,
-    ] {
-        for class in [Class::S, Class::W, Class::A, Class::B, Class::C] {
-            ids.push(WorkloadId::Npb { kernel, class });
-        }
-    }
-    ids.push(WorkloadId::MetUm { timesteps: 18 });
-    ids.push(WorkloadId::Chaste {
-        timesteps: 250,
-        cg_iters: 30,
-    });
-    ids
 }
 
 #[cfg(test)]

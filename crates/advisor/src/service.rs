@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use sim_ipm::profile_run;
+use sim_ipm::{profile_run, IpmReport};
 use sim_mpi::{run_job, JobSpec, NullSink, SimConfig, SimResult};
 use sim_sweep::{fnv64, sweep, MergedDigest, SweepOpts};
 use workloads::{Class, Kernel};
@@ -211,29 +211,84 @@ pub struct RankedForecast {
     pub verdict: Verdict,
 }
 
-/// The communication/memory signature of the profiled (supercomputer)
-/// run, as fractions in 0..1 — the classifier input the legacy
-/// `WorkloadProfile` exposes.
+/// The communication/memory signature of a profiled run, as fractions in
+/// 0..1 — the same quantities IPM (and ARRIVE-F) extract from a live run,
+/// and the input of the cloud-friendliness classifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
+    /// Fraction of walltime in MPI.
     pub comm_frac: f64,
+    /// Of the MPI time, the fraction in collectives.
     pub collective_frac: f64,
+    /// Fraction of walltime in file I/O.
     pub io_frac: f64,
+    /// Compute-time load imbalance.
     pub imbalance: f64,
 }
 
-/// A full three-platform recommendation, service-side.
+impl QueryProfile {
+    /// Extract a profile from an instrumented run.
+    pub fn from_run(result: &SimResult, report: &IpmReport) -> QueryProfile {
+        QueryProfile {
+            comm_frac: result.comm_pct() / 100.0,
+            collective_frac: report.global.collective_frac(),
+            io_frac: result.io_pct() / 100.0,
+            imbalance: report.global.imbalance_pct() / 100.0,
+        }
+    }
+
+    /// Cloud-friendliness score in 0..1 (1 = perfect cloud candidate).
+    /// Communication — especially collective/small-message communication —
+    /// and I/O are what commodity clouds punish (paper §V, related work
+    /// "scientific applications with minimal communications and I/O make
+    /// the best fit for cloud deployment").
+    pub fn cloud_friendliness(&self) -> f64 {
+        let comm_penalty = self.comm_frac * (1.0 + self.collective_frac);
+        let io_penalty = 2.0 * self.io_frac;
+        (1.0 - comm_penalty - io_penalty).clamp(0.0, 1.0)
+    }
+
+    /// Human-readable class, mirroring the paper's qualitative buckets.
+    pub fn class(&self) -> &'static str {
+        let s = self.cloud_friendliness();
+        if s > 0.8 {
+            "cloud-friendly"
+        } else if s > 0.5 {
+            "cloud-capable (private cloud or placement-tuned public cloud)"
+        } else {
+            "keep on the supercomputer"
+        }
+    }
+}
+
+/// A full three-platform recommendation.
 #[derive(Debug, Clone)]
 pub struct Advice {
     /// Signature extracted from the Vayu (supercomputer) run.
     pub profile: QueryProfile,
     /// Forecasts sorted fastest-first (stable sort over the canonical
-    /// platform order, exactly as the legacy `advise()` sorted).
+    /// platform order).
     pub ranked: Vec<RankedForecast>,
     /// Index into `ranked` of the cheapest on-demand option.
     pub cheapest: usize,
     /// Index into `ranked` of the fastest option (always 0).
     pub fastest: usize,
+}
+
+impl Advice {
+    /// The cheapest on-demand forecast among those meeting
+    /// `deadline_secs` (the fastest such on a tie); `None` if nothing
+    /// meets it.
+    pub fn best_within_deadline(&self, deadline_secs: f64) -> Option<&RankedForecast> {
+        self.ranked
+            .iter()
+            .filter(|f| f.verdict.elapsed_secs <= deadline_secs)
+            .min_by(|a, b| {
+                a.verdict
+                    .on_demand_cost
+                    .total_cmp(&b.verdict.on_demand_cost)
+            })
+    }
 }
 
 /// The outcome of a batched fleet evaluation.
@@ -251,7 +306,6 @@ pub struct FleetReport {
 pub struct AdvisorService {
     cache: VerdictCache,
     programs: ProgramCache,
-    caching: bool,
 }
 
 impl Default for AdvisorService {
@@ -261,34 +315,18 @@ impl Default for AdvisorService {
 }
 
 impl AdvisorService {
-    /// Service with default cache geometry (16 stripes × 4096 entries).
+    /// Service with the default cache geometry (16 stripes × 4096
+    /// entries) and a 64-program pool.
     pub fn new() -> AdvisorService {
-        Self::with_capacity(DEFAULT_SHARDS, DEFAULT_SHARD_CAPACITY)
-    }
-
-    /// Service with explicit cache geometry.
-    pub fn with_capacity(shards: usize, shard_capacity: usize) -> AdvisorService {
         AdvisorService {
-            cache: VerdictCache::new(shards, shard_capacity),
+            cache: VerdictCache::new(DEFAULT_SHARDS, DEFAULT_SHARD_CAPACITY),
             programs: ProgramCache::new(64),
-            caching: true,
         }
-    }
-
-    /// A service whose verdict cache is disabled — every query
-    /// re-simulates. The equivalence foil for cache-on testing (the
-    /// program-reuse layer stays on; it is exercised by the same tests).
-    pub fn without_cache(mut self) -> AdvisorService {
-        self.caching = false;
-        self
     }
 
     /// Answer one query, consulting the verdict cache.
     pub fn evaluate(&self, query: &Query) -> AdvisorResult<Verdict> {
         query.validate()?;
-        if !self.caching {
-            return self.simulate(query);
-        }
         let key = query.key();
         if let Some(v) = self.cache.get(key, query) {
             return Ok(v);
@@ -336,7 +374,7 @@ impl AdvisorService {
         })
     }
 
-    /// The legacy `advise()` workflow on the service: profile on the
+    /// The cloud-bursting advisor (`cloudsim::advise`): profile on the
     /// supercomputer, forecast all three platforms, rank by time and by
     /// dollars. Each platform leg is one cacheable query, so a repeated
     /// recommendation costs three cache hits.
@@ -356,8 +394,7 @@ impl AdvisorService {
             ranked.push(RankedForecast { platform, verdict });
         }
         // Stable sort by elapsed over the canonical platform order, then
-        // last-minimum cost selection: both mirror the legacy `advise()`
-        // (`sort_by` + `Iterator::min_by`) so delegation is byte-identical.
+        // first-minimum cost selection (`Iterator::min_by`).
         ranked.sort_by(|a, b| a.verdict.elapsed_secs.total_cmp(&b.verdict.elapsed_secs));
         let cheapest = ranked
             .iter()
@@ -441,11 +478,6 @@ impl AdvisorService {
     /// Program-reuse counters.
     pub fn program_stats(&self) -> ProgramStats {
         self.programs.stats()
-    }
-
-    /// Drop all cached verdicts (counters keep accumulating).
-    pub fn clear_cache(&self) {
-        self.cache.clear()
     }
 
     pub(crate) fn cache(&self) -> &VerdictCache {
@@ -645,6 +677,24 @@ mod tests {
         assert_eq!(bytes.len(), Verdict::ENCODED_LEN);
         assert_eq!(Verdict::decode(&bytes).unwrap(), v);
         assert!(Verdict::decode(&bytes[1..]).is_err());
+    }
+
+    #[test]
+    fn friendliness_bounds() {
+        let p = QueryProfile {
+            comm_frac: 0.0,
+            collective_frac: 0.0,
+            io_frac: 0.0,
+            imbalance: 0.0,
+        };
+        assert_eq!(p.cloud_friendliness(), 1.0);
+        let q = QueryProfile {
+            comm_frac: 0.9,
+            collective_frac: 1.0,
+            io_frac: 0.5,
+            imbalance: 0.0,
+        };
+        assert_eq!(q.cloud_friendliness(), 0.0);
     }
 
     #[test]

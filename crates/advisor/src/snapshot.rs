@@ -113,7 +113,10 @@ pub fn decode_snapshot(
         });
     }
     let count = u64_at(body, 20)? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 20));
+    // Reserve no more entries than the remaining bytes can hold: the
+    // count is read before any entry, and a forged one must not allocate.
+    let fits = (body.len() - 28) / (4 + Verdict::ENCODED_LEN);
+    let mut entries = Vec::with_capacity(count.min(fits));
     let mut at = 28usize;
     for i in 0..count {
         let qlen = u32_at(body, at)? as usize;
@@ -245,17 +248,80 @@ mod tests {
         ));
     }
 
+    /// Recompute the trailing checksum, so edited bytes get past the
+    /// integrity guard and reach the record decoder.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let sum = fnv64(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+    }
+
     #[test]
     fn version_guard_is_typed() {
         let mut bytes = encode_snapshot(42, &[]);
-        // Patch the version field and re-checksum.
         bytes[8] = 9;
-        let body_len = bytes.len() - 8;
-        let sum = sim_sweep::fnv64(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
+        reseal(&mut bytes);
         assert!(matches!(
             decode_snapshot(&bytes, 42),
             Err(AdvisorError::SnapshotVersion { found: 9, .. })
         ));
+    }
+
+    /// No byte string makes the loader panic: truncations and bit flips
+    /// are corrupt as they stand; resealed, they decode to entries that
+    /// re-encode to the same bytes or fail typed; forged counts and
+    /// lengths fail typed.
+    #[test]
+    fn fuzzed_snapshots_fail_typed() {
+        use crate::query::QueryPolicy;
+        use sim_des::DetRng;
+        let v = entry(2).1;
+        let metum = Query::new(WorkloadId::MetUm { timesteps: 18 }, PlatformId::Vayu, 64)
+            .with_policy(QueryPolicy::Spread { nodes: 4 });
+        let chaste = WorkloadId::Chaste {
+            timesteps: 250,
+            cg_iters: 30,
+        };
+        let chaste = Query::new(chaste, PlatformId::Ec2, 8)
+            .with_policy(QueryPolicy::Block)
+            .with_seed(7);
+        let good = encode_snapshot(42, &[entry(2), (metum, v), (chaste, v), entry(16)]);
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                decode_snapshot(bytes, 42),
+                Err(AdvisorError::SnapshotCorrupt(_))
+            )
+        };
+        for n in 0..good.len() {
+            assert!(corrupt(&good[..n]), "truncated to {n} bytes");
+        }
+        let mut rng = DetRng::new(0xF022, 0);
+        for trial in 0..10_000 {
+            let mut bad = good.clone();
+            let mut flipped = Vec::new();
+            let k = 1 + rng.index(4);
+            while flipped.len() < k {
+                let bit = rng.index(good.len() * 8);
+                if !flipped.contains(&bit) {
+                    flipped.push(bit);
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            assert!(corrupt(&bad), "trial {trial}: bits {flipped:?}");
+            reseal(&mut bad);
+            if let Ok(entries) = decode_snapshot(&bad, 42) {
+                assert_eq!(encode_snapshot(42, &entries), bad, "trial {trial}");
+            }
+        }
+        for base in [encode_snapshot(42, &[]), good.clone()] {
+            let mut forged = base.clone();
+            forged[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+            reseal(&mut forged);
+            assert!(corrupt(&forged), "count = u64::MAX");
+        }
+        let mut forged = good;
+        forged[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut forged);
+        assert!(corrupt(&forged), "qlen = u32::MAX");
     }
 }

@@ -3,267 +3,92 @@
 //! The paper's motivation section describes using ARRIVE-F-style online
 //! profiles "to classify candidate workloads that could be run on a cloud
 //! resource, rather than tying up resources at a peak HPC facility".
-//! This module implements that classifier on top of the simulator: profile
+//! [`advise`] implements that classifier on top of the simulator: profile
 //! a workload once, extract the communication/memory signature, then rank
-//! the platforms by predicted time and by predicted cost.
+//! the platforms by predicted time and by predicted cost. The work is done
+//! by the process-wide [`sim_advisor::AdvisorService`], so every answer is
+//! `sim-advisor`'s [`Advice`] and repeats are cache hits.
 
-use crate::experiment::Experiment;
-use crate::pricing::PriceModel;
 use crate::table::{fmt_pct, fmt_ratio, fmt_secs, Table};
-use sim_ipm::IpmReport;
-use sim_mpi::SimResult;
-use sim_platform::{presets, ClusterSpec, Strategy};
+use sim_advisor::{Advice, AdvisorError, AdvisorResult, AdvisorService};
 use workloads::Workload;
-
-/// The communication/memory signature the classifier keys on — the same
-/// quantities IPM (and ARRIVE-F) extract from a live run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadProfile {
-    /// Fraction of walltime in MPI, 0..1.
-    pub comm_frac: f64,
-    /// Of the MPI time, the fraction in collectives, 0..1.
-    pub collective_frac: f64,
-    /// Fraction of walltime in file I/O, 0..1.
-    pub io_frac: f64,
-    /// Compute-time load imbalance, 0..1.
-    pub imbalance: f64,
-}
-
-impl WorkloadProfile {
-    /// Extract a profile from an instrumented run.
-    pub fn from_run(result: &SimResult, report: &IpmReport) -> WorkloadProfile {
-        WorkloadProfile {
-            comm_frac: result.comm_pct() / 100.0,
-            collective_frac: report.global.collective_frac(),
-            io_frac: result.io_pct() / 100.0,
-            imbalance: report.global.imbalance_pct() / 100.0,
-        }
-    }
-
-    /// Cloud-friendliness score in 0..1 (1 = perfect cloud candidate).
-    /// Communication — especially collective/small-message communication —
-    /// and I/O are what commodity clouds punish (paper §V, related work
-    /// "scientific applications with minimal communications and I/O make
-    /// the best fit for cloud deployment").
-    pub fn cloud_friendliness(&self) -> f64 {
-        let comm_penalty = self.comm_frac * (1.0 + self.collective_frac);
-        let io_penalty = 2.0 * self.io_frac;
-        (1.0 - comm_penalty - io_penalty).clamp(0.0, 1.0)
-    }
-
-    /// Human-readable class, mirroring the paper's qualitative buckets.
-    pub fn class(&self) -> &'static str {
-        let s = self.cloud_friendliness();
-        if s > 0.8 {
-            "cloud-friendly"
-        } else if s > 0.5 {
-            "cloud-capable (private cloud or placement-tuned public cloud)"
-        } else {
-            "keep on the supercomputer"
-        }
-    }
-}
-
-/// One platform's predicted outcome for a job.
-#[derive(Debug, Clone)]
-pub struct PlatformForecast {
-    pub platform: &'static str,
-    pub elapsed_secs: f64,
-    pub nodes: usize,
-    pub on_demand_cost: f64,
-    pub spot_cost: f64,
-    pub comm_pct: f64,
-}
-
-/// A full recommendation.
-#[derive(Debug, Clone)]
-pub struct Recommendation {
-    pub profile: WorkloadProfile,
-    /// Forecasts sorted fastest-first.
-    pub by_time: Vec<PlatformForecast>,
-    /// Index into `by_time` of the cheapest on-demand option.
-    pub cheapest: usize,
-    /// Index into `by_time` of the fastest option (always 0).
-    pub fastest: usize,
-}
-
-impl Recommendation {
-    /// The fastest platform meeting `deadline_secs`, preferring the
-    /// cheapest among those that do; `None` if nothing meets it.
-    pub fn best_within_deadline(&self, deadline_secs: f64) -> Option<&PlatformForecast> {
-        self.by_time
-            .iter()
-            .filter(|f| f.elapsed_secs <= deadline_secs)
-            .min_by(|a, b| {
-                a.on_demand_cost
-                    .partial_cmp(&b.on_demand_cost)
-                    .expect("finite costs")
-            })
-    }
-
-    /// Render as a table.
-    pub fn to_table(&self, title: &str) -> Table {
-        let mut t = Table::new(
-            title,
-            vec![
-                "platform",
-                "elapsed_s",
-                "nodes",
-                "cost_$",
-                "spot_$",
-                "%comm",
-            ],
-        );
-        for f in &self.by_time {
-            t.row(vec![
-                f.platform.to_string(),
-                fmt_secs(f.elapsed_secs),
-                f.nodes.to_string(),
-                fmt_ratio(f.on_demand_cost),
-                fmt_ratio(f.spot_cost),
-                fmt_pct(f.comm_pct),
-            ]);
-        }
-        t.note(format!(
-            "profile: comm {:.0}%, collectives {:.0}% of MPI, io {:.0}%, imbalance {:.0}% -> {}",
-            100.0 * self.profile.comm_frac,
-            100.0 * self.profile.collective_frac,
-            100.0 * self.profile.io_frac,
-            100.0 * self.profile.imbalance,
-            self.profile.class()
-        ));
-        t
-    }
-}
-
-/// Strategy the advisor uses per platform: memory-aware packing on EC2 if
-/// the workload declares a footprint, plain block otherwise.
-fn strategy_for(w: &dyn Workload, cluster: &ClusterSpec, np: usize) -> Strategy {
-    let mem = w.memory_per_rank_bytes(np);
-    if mem > 0 && cluster.name == "ec2" {
-        Strategy::BlockMemoryAware {
-            per_rank_bytes: mem,
-        }
-    } else {
-        Strategy::Block
-    }
-}
 
 /// The process-wide advisor service the facade delegates to. Sharing one
 /// instance means repeated `advise()` calls (and anything else going
 /// through the service) amortize both the verdict cache and the pooled op
 /// programs.
-pub fn advisor_service() -> &'static sim_advisor::AdvisorService {
-    static SERVICE: std::sync::OnceLock<sim_advisor::AdvisorService> = std::sync::OnceLock::new();
-    SERVICE.get_or_init(sim_advisor::AdvisorService::new)
+pub fn advisor_service() -> &'static AdvisorService {
+    static SERVICE: std::sync::OnceLock<AdvisorService> = std::sync::OnceLock::new();
+    SERVICE.get_or_init(AdvisorService::new)
 }
 
 /// Profile `workload` at `np` ranks and forecast all three platforms.
 ///
-/// Deprecated-by-delegation: describable workloads (NPB, MetUM, Chaste)
-/// route through the [`sim_advisor::AdvisorService`] query cache — the
-/// numbers are bit-identical to the original direct implementation
-/// (pinned by the `tests/golden_advisor.txt` golden), repeats are cache
-/// hits. Workloads without a canonical descriptor (wrappers,
-/// micro-benchmarks) keep the original direct path.
-pub fn advise(workload: &dyn Workload, np: usize) -> Recommendation {
-    match workload.describe() {
-        Some(desc) => {
-            let advice = advisor_service()
-                .recommend(desc.into(), np as u32)
-                .expect("advisor run");
-            let by_time = advice
-                .ranked
-                .iter()
-                .map(|f| PlatformForecast {
-                    platform: f.platform.name(),
-                    elapsed_secs: f.verdict.elapsed_secs,
-                    nodes: f.verdict.nodes as usize,
-                    on_demand_cost: f.verdict.on_demand_cost,
-                    spot_cost: f.verdict.spot_cost,
-                    comm_pct: f.verdict.comm_pct,
-                })
-                .collect();
-            Recommendation {
-                profile: WorkloadProfile {
-                    comm_frac: advice.profile.comm_frac,
-                    collective_frac: advice.profile.collective_frac,
-                    io_frac: advice.profile.io_frac,
-                    imbalance: advice.profile.imbalance,
-                },
-                by_time,
-                cheapest: advice.cheapest,
-                fastest: advice.fastest,
-            }
-        }
-        None => advise_direct(workload, np),
-    }
+/// The workload must have a canonical description
+/// ([`Workload::describe`]); one without (a wrapper or a micro-benchmark)
+/// is an [`AdvisorError::InvalidQuery`], as is a simulation that fails.
+pub fn advise(workload: &dyn Workload, np: usize) -> AdvisorResult<Advice> {
+    let desc = workload.describe().ok_or_else(|| {
+        AdvisorError::InvalidQuery(format!("{} has no canonical description", workload.name()))
+    })?;
+    let np = u32::try_from(np)
+        .map_err(|_| AdvisorError::InvalidQuery(format!("np {np} does not fit in u32")))?;
+    advisor_service().recommend(desc, np)
 }
 
-/// The original in-place implementation, kept for workloads the service
-/// cannot content-address.
-fn advise_direct(workload: &dyn Workload, np: usize) -> Recommendation {
-    let clusters = [presets::vayu(), presets::dcc(), presets::ec2()];
-    let mut forecasts = Vec::new();
-    let mut profile: Option<WorkloadProfile> = None;
-    for c in &clusters {
-        let (res, rep) = Experiment::new(workload, c, np)
-            .strategy(strategy_for(workload, c, np))
-            .repeats(1)
-            .run_once()
-            .expect("advisor run");
-        if c.name == "vayu" {
-            profile = Some(WorkloadProfile::from_run(&res, &rep));
-        }
-        let price = PriceModel::for_platform(c);
-        let nodes = res.placement.nodes_used();
-        forecasts.push(PlatformForecast {
-            platform: c.name,
-            elapsed_secs: res.elapsed_secs(),
-            nodes,
-            on_demand_cost: price.cost(nodes, res.elapsed_secs()),
-            spot_cost: price.spot_cost(nodes, res.elapsed_secs()),
-            comm_pct: res.comm_pct(),
-        });
+/// Render `advice` as a table, fastest platform first, with the profile
+/// and its class as a note.
+pub fn advice_table(advice: &Advice, title: &str) -> Table {
+    let mut t = Table::new(
+        title,
+        vec![
+            "platform",
+            "elapsed_s",
+            "nodes",
+            "cost_$",
+            "spot_$",
+            "%comm",
+        ],
+    );
+    for f in &advice.ranked {
+        let v = &f.verdict;
+        t.row(vec![
+            f.platform.name().to_string(),
+            fmt_secs(v.elapsed_secs),
+            v.nodes.to_string(),
+            fmt_ratio(v.on_demand_cost),
+            fmt_ratio(v.spot_cost),
+            fmt_pct(v.comm_pct),
+        ]);
     }
-    forecasts.sort_by(|a, b| {
-        a.elapsed_secs
-            .partial_cmp(&b.elapsed_secs)
-            .expect("finite times")
-    });
-    let cheapest = forecasts
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.on_demand_cost
-                .partial_cmp(&b.on_demand_cost)
-                .expect("finite costs")
-        })
-        .map(|(i, _)| i)
-        .expect("three forecasts");
-    Recommendation {
-        profile: profile.expect("vayu profiled"),
-        by_time: forecasts,
-        cheapest,
-        fastest: 0,
-    }
+    let p = &advice.profile;
+    t.note(format!(
+        "profile: comm {:.0}%, collectives {:.0}% of MPI, io {:.0}%, imbalance {:.0}% -> {}",
+        100.0 * p.comm_frac,
+        100.0 * p.collective_frac,
+        100.0 * p.io_frac,
+        100.0 * p.imbalance,
+        p.class()
+    ));
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{Class, Kernel, Npb};
+    use sim_advisor::PlatformId;
+    use workloads::{Class, Kernel, Npb, OsuLatency};
 
     #[test]
     fn ep_classified_cloud_friendly() {
-        let rec = advise(&Npb::new(Kernel::Ep, Class::W), 16);
+        let rec = advise(&Npb::new(Kernel::Ep, Class::W), 16).unwrap();
         assert!(rec.profile.cloud_friendliness() > 0.9, "{:?}", rec.profile);
         assert_eq!(rec.profile.class(), "cloud-friendly");
     }
 
     #[test]
     fn is_classified_hpc_bound_at_scale() {
-        let rec = advise(&Npb::new(Kernel::Is, Class::W), 64);
+        let rec = advise(&Npb::new(Kernel::Is, Class::W), 64).unwrap();
         // IS at 64 ranks has significant collective comm even on Vayu.
         assert!(rec.profile.comm_frac > 0.2, "{:?}", rec.profile);
         assert!(rec.profile.cloud_friendliness() < 0.6);
@@ -271,73 +96,40 @@ mod tests {
 
     #[test]
     fn fastest_is_vayu_for_comm_bound() {
-        let rec = advise(&Npb::new(Kernel::Cg, Class::W), 32);
-        assert_eq!(rec.by_time[rec.fastest].platform, "vayu");
+        let rec = advise(&Npb::new(Kernel::Cg, Class::W), 32).unwrap();
+        assert_eq!(rec.ranked[rec.fastest].platform, PlatformId::Vayu);
         // And the time ordering is strict: vayu < ec2/dcc.
-        assert!(rec.by_time[0].elapsed_secs < rec.by_time[1].elapsed_secs);
+        assert!(rec.ranked[0].verdict.elapsed_secs < rec.ranked[1].verdict.elapsed_secs);
     }
 
     #[test]
     fn deadline_logic() {
-        let rec = advise(&Npb::new(Kernel::Ep, Class::W), 16);
+        let rec = advise(&Npb::new(Kernel::Ep, Class::W), 16).unwrap();
         // A generous deadline admits everything; the pick is the cheapest.
         let lax = rec.best_within_deadline(f64::INFINITY).unwrap();
         let min_cost = rec
-            .by_time
+            .ranked
             .iter()
-            .map(|f| f.on_demand_cost)
+            .map(|f| f.verdict.on_demand_cost)
             .fold(f64::INFINITY, f64::min);
-        assert!((lax.on_demand_cost - min_cost).abs() < 1e-12);
+        assert!((lax.verdict.on_demand_cost - min_cost).abs() < 1e-12);
         // An impossible deadline admits nothing.
         assert!(rec.best_within_deadline(1e-9).is_none());
     }
 
     #[test]
-    fn recommendation_table_renders() {
-        let rec = advise(&Npb::new(Kernel::Mg, Class::S), 8);
-        let t = rec.to_table("advice: mg.S @ 8");
+    fn advice_table_renders() {
+        let rec = advise(&Npb::new(Kernel::Mg, Class::S), 8).unwrap();
+        let t = advice_table(&rec, "advice: mg.S @ 8");
         assert_eq!(t.rows.len(), 3);
         assert!(t.to_text().contains("profile:"));
     }
 
     #[test]
-    fn delegated_advise_is_bit_identical_to_direct() {
-        // The service-backed path must reproduce the original direct
-        // implementation exactly — elapsed, dollars, ordering, indices.
-        for (kernel, np) in [(Kernel::Cg, 16usize), (Kernel::Ep, 8), (Kernel::Is, 32)] {
-            let w = Npb::new(kernel, Class::S);
-            let via_service = advise(&w, np);
-            let direct = advise_direct(&w, np);
-            assert_eq!(via_service.cheapest, direct.cheapest, "{kernel:?}");
-            assert_eq!(via_service.fastest, direct.fastest);
-            assert_eq!(via_service.profile, direct.profile);
-            assert_eq!(via_service.by_time.len(), direct.by_time.len());
-            for (a, b) in via_service.by_time.iter().zip(&direct.by_time) {
-                assert_eq!(a.platform, b.platform);
-                assert_eq!(a.elapsed_secs.to_bits(), b.elapsed_secs.to_bits());
-                assert_eq!(a.nodes, b.nodes);
-                assert_eq!(a.on_demand_cost.to_bits(), b.on_demand_cost.to_bits());
-                assert_eq!(a.spot_cost.to_bits(), b.spot_cost.to_bits());
-                assert_eq!(a.comm_pct.to_bits(), b.comm_pct.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn friendliness_bounds() {
-        let p = WorkloadProfile {
-            comm_frac: 0.0,
-            collective_frac: 0.0,
-            io_frac: 0.0,
-            imbalance: 0.0,
-        };
-        assert_eq!(p.cloud_friendliness(), 1.0);
-        let q = WorkloadProfile {
-            comm_frac: 0.9,
-            collective_frac: 1.0,
-            io_frac: 0.5,
-            imbalance: 0.0,
-        };
-        assert_eq!(q.cloud_friendliness(), 0.0);
+    fn undescribed_workload_is_an_invalid_query() {
+        assert!(matches!(
+            advise(&OsuLatency { bytes: 8 }, 2),
+            Err(AdvisorError::InvalidQuery(_))
+        ));
     }
 }

@@ -8,7 +8,7 @@
 
 use sim_faults::FaultSpec;
 use sim_ipm::{profile_run, IpmReport};
-use sim_mpi::{Background, SimConfig, SimError, SimResult};
+use sim_mpi::{SimConfig, SimError, SimResult};
 use sim_platform::{ClusterSpec, Strategy};
 use workloads::Workload;
 
@@ -24,7 +24,6 @@ pub struct Experiment<'a> {
     pub repeats: usize,
     pub base_seed: u64,
     pub faults: Option<FaultSpec>,
-    pub background: Option<Background>,
 }
 
 impl<'a> Experiment<'a> {
@@ -37,7 +36,6 @@ impl<'a> Experiment<'a> {
             repeats: PAPER_REPEATS,
             base_seed: 0x5EED_0000,
             faults: None,
-            background: None,
         }
     }
 
@@ -65,14 +63,6 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Run against a co-tenant background load: the engine degrades the
-    /// cluster's inter-node fabric by the contention multiplier. `None`
-    /// (the default) is an exact no-op.
-    pub fn background(mut self, bg: Background) -> Self {
-        self.background = Some(bg);
-        self
-    }
-
     /// Run all repeats and return the minimum-walltime run (result +
     /// profile), per the paper's methodology: "Each run was repeated 5
     /// times, with the minimum time being used for the results."
@@ -97,7 +87,7 @@ impl<'a> Experiment<'a> {
                 strategy: self.strategy,
                 validate: rep == 0, // structure is identical across repeats
                 faults: self.faults.clone(),
-                background: self.background,
+                background: None,
             };
             let (result, report) = profile_run(&mut job, self.cluster, &cfg)?;
             let better = best
@@ -119,7 +109,7 @@ impl<'a> Experiment<'a> {
             strategy: self.strategy,
             validate: true,
             faults: self.faults.clone(),
-            background: self.background,
+            background: None,
         };
         profile_run(&mut job, self.cluster, &cfg)
     }

@@ -43,7 +43,7 @@ pub mod table;
 pub use sim_sched::pricing;
 
 pub use ablations::{ablation_dcc_variants, ablation_ht_packing, all_ablations};
-pub use advisor::{advise, advisor_service, PlatformForecast, Recommendation, WorkloadProfile};
+pub use advisor::{advice_table, advise, advisor_service};
 pub use experiment::{Experiment, PAPER_REPEATS};
 pub use figures::{
     all_figures, faultsched, faultsched_points, faultsched_with, faultsweep, faultsweep_points,

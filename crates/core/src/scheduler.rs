@@ -20,9 +20,9 @@
 //! [`sim_sched::BurstStats`]); this module only builds the mixes and the
 //! sites and renders the tables. Site 0 is always Vayu, then DCC and EC2.
 
-use crate::advisor::WorkloadProfile;
 use crate::experiment::Experiment;
 use crate::table::{fmt_pct, fmt_ratio, fmt_secs, Table};
+use sim_advisor::QueryProfile;
 use sim_des::DetRng;
 use sim_net::ContentionParams;
 use sim_platform::{presets, Strategy};
@@ -101,7 +101,7 @@ pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<BurstJob> {
                     .expect("profiling run");
                 rt[i] = res.elapsed_secs();
                 if i == 0 {
-                    friendliness = WorkloadProfile::from_run(&res, &rep).cloud_friendliness();
+                    friendliness = QueryProfile::from_run(&res, &rep).cloud_friendliness();
                 }
             }
             let nodes = np.div_ceil(8);

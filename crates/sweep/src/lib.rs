@@ -7,11 +7,11 @@
 //! here:
 //!
 //! 1. **Fixed sharding.** The cell range `0..n_cells` is cut into a fixed
-//!    number of contiguous shards ([`SweepOpts::shards`], default 64) that
-//!    does *not* depend on how many worker threads run. Threads race only
-//!    over *which worker evaluates which shard* — never over shard
-//!    boundaries, so the grouping of cells into partial accumulators is a
-//!    pure function of `(n_cells, shards)`.
+//!    number of contiguous shards ([`DEFAULT_SHARDS`], 64) that does *not*
+//!    depend on how many worker threads run. Threads race only over
+//!    *which worker evaluates which shard* — never over shard boundaries,
+//!    so the grouping of cells into partial accumulators is a pure
+//!    function of `n_cells`.
 //! 2. **In-order folds, in-order merge.** Each shard folds its cells in
 //!    ascending index order into a fresh accumulator; finished shards are
 //!    parked in a per-shard slot and merged on the calling thread in shard
@@ -40,42 +40,24 @@ use std::sync::Mutex;
 
 use sim_des::splitmix64;
 
-/// Default number of shards a sweep is cut into. Chosen large enough that
+/// Number of shards every sweep is cut into — the unit of work
+/// distribution *and* of reduction grouping. Chosen large enough that
 /// uneven per-cell costs still balance across workers, small enough that
 /// per-shard accumulator overhead stays negligible.
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// Options for [`sweep`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOpts {
     /// Worker threads. `None` resolves to `RAYON_NUM_THREADS` (if set to a
     /// positive integer) else `std::thread::available_parallelism()`.
     pub threads: Option<usize>,
-    /// Shard count — the unit of work distribution *and* of reduction
-    /// grouping. Changing it regroups floating-point merges; changing the
-    /// thread count never does.
-    pub shards: usize,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        SweepOpts {
-            threads: None,
-            shards: DEFAULT_SHARDS,
-        }
-    }
 }
 
 impl SweepOpts {
     /// Pin the worker count (e.g. `serial()`-style tests use 1).
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Override the shard count (rarely needed; changes reduction grouping).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
         self
     }
 
@@ -118,9 +100,8 @@ pub fn shard_range(n_cells: usize, shards: usize, s: usize) -> std::ops::Range<u
 ///
 /// The result is bit-identical for every worker count (including 1)
 /// because sharding, fold order and merge order are all independent of the
-/// thread count. It depends on `opts.shards` only through the grouping of
-/// `merge` calls — irrelevant for associative merges like row
-/// concatenation, pinned by the default for everything else.
+/// thread count: the grouping of `merge` calls is fixed by
+/// [`DEFAULT_SHARDS`].
 pub fn sweep<A, I, E, M>(n_cells: usize, opts: &SweepOpts, init: I, eval: E, mut merge: M) -> A
 where
     A: Send,
@@ -128,7 +109,7 @@ where
     E: Fn(usize, &mut A) + Sync,
     M: FnMut(&mut A, A),
 {
-    let shards = opts.shards.max(1);
+    let shards = DEFAULT_SHARDS;
     let mut total = init();
     if n_cells == 0 {
         return total;

@@ -61,21 +61,10 @@ impl Workload for Checkpointed<'_> {
     }
 
     fn build(&self, np: usize) -> JobSpec {
-        let inner = self.inner.build(np);
-        let policy = self.policy;
-        let sources = inner
-            .sources
-            .into_iter()
-            .map(|s| {
-                OpSource::streamed(CheckpointProgram {
-                    inner: s,
-                    policy,
-                    seen: 0,
-                    queued: false,
-                })
-            })
-            .collect();
-        JobSpec::from_sources(self.name(), sources, inner.meta.section_names)
+        let cut = Op::Checkpoint {
+            bytes: self.policy.bytes_per_rank,
+        };
+        splice_cuts(self.name(), self.inner, np, self.policy.every_colls, cut)
     }
 
     fn memory_per_rank_bytes(&self, np: usize) -> u64 {
@@ -83,29 +72,57 @@ impl Workload for Checkpointed<'_> {
     }
 }
 
-/// Streams the inner source, counting world collectives and emitting an
-/// [`Op::Checkpoint`] right after every `every_colls`-th one.
-struct CheckpointProgram {
+/// Build `inner` for `np` ranks as job `name`, splicing `cut` into every
+/// rank's stream right after every `every_colls`-th world collective. The
+/// cut wrappers ([`Checkpointed`], [`crate::Verified`]) differ only in the
+/// op they splice; neither counts a spliced op as a collective, so they
+/// compose in either order with independent cadences.
+pub(crate) fn splice_cuts(
+    name: String,
+    inner: &dyn Workload,
+    np: usize,
+    every_colls: u64,
+    cut: Op,
+) -> JobSpec {
+    let inner = inner.build(np);
+    let sources = inner
+        .sources
+        .into_iter()
+        .map(|s| {
+            OpSource::streamed(CutProgram {
+                inner: s,
+                every_colls,
+                cut,
+                seen: 0,
+                queued: false,
+            })
+        })
+        .collect();
+    JobSpec::from_sources(name, sources, inner.meta.section_names)
+}
+
+/// Streams the inner source, counting world collectives and emitting
+/// `cut` right after every `every_colls`-th one.
+struct CutProgram {
     inner: OpSource,
-    policy: CheckpointPolicy,
-    /// World collectives seen since the last checkpoint.
+    every_colls: u64,
+    cut: Op,
+    /// World collectives seen since the last cut.
     seen: u64,
-    /// A checkpoint is due before the next inner op.
+    /// A cut is due before the next inner op.
     queued: bool,
 }
 
-impl Program for CheckpointProgram {
+impl Program for CutProgram {
     fn next_op(&mut self) -> Option<Op> {
         if self.queued {
             self.queued = false;
-            return Some(Op::Checkpoint {
-                bytes: self.policy.bytes_per_rank,
-            });
+            return Some(self.cut);
         }
         let op = self.inner.next_op()?;
         if matches!(op, Op::Coll(_)) {
             self.seen += 1;
-            if self.seen == self.policy.every_colls {
+            if self.seen == self.every_colls {
                 self.seen = 0;
                 self.queued = true;
             }

@@ -29,13 +29,45 @@ pub use verify::{Verified, VerifyPolicy};
 
 /// A canonical, value-typed description of a workload — everything needed
 /// to rebuild it. Content-addressed consumers (the advisor service's query
-/// cache) key on this rather than on the display name, which for some
-/// workloads does not encode every build parameter.
+/// cache, which re-exports it as `WorkloadId`) key on this rather than on
+/// the display name, which for some workloads does not encode every build
+/// parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadDesc {
+    /// A NAS Parallel Benchmark kernel at a problem class.
     Npb { kernel: Kernel, class: Class },
+    /// The MetUM atmosphere benchmark at a timestep count.
     MetUm { timesteps: u32 },
+    /// The Chaste cardiac benchmark.
     Chaste { timesteps: u32, cg_iters: u32 },
+}
+
+impl WorkloadDesc {
+    /// Generate the described workload's job for `np` ranks.
+    pub fn build(&self, np: usize) -> sim_mpi::JobSpec {
+        self.with_workload(|w| w.build(np))
+    }
+
+    /// Resident memory per rank of the described workload, bytes.
+    pub fn memory_per_rank_bytes(&self, np: usize) -> u64 {
+        self.with_workload(|w| w.memory_per_rank_bytes(np))
+    }
+
+    fn with_workload<T>(&self, f: impl FnOnce(&dyn Workload) -> T) -> T {
+        match *self {
+            WorkloadDesc::Npb { kernel, class } => f(&Npb::new(kernel, class)),
+            WorkloadDesc::MetUm { timesteps } => f(&MetUm {
+                timesteps: timesteps as usize,
+            }),
+            WorkloadDesc::Chaste {
+                timesteps,
+                cg_iters,
+            } => f(&Chaste {
+                timesteps: timesteps as usize,
+                cg_iters: cg_iters as usize,
+            }),
+        }
+    }
 }
 
 /// A benchmark that can be compiled to per-rank op programs.
@@ -55,7 +87,7 @@ pub trait Workload {
     /// Canonical descriptor, if this workload has one. `None` (the
     /// default) means the workload cannot be content-addressed — wrappers
     /// like [`Checkpointed`]/[`Verified`] and micro-benchmarks return
-    /// `None` and callers fall back to direct simulation.
+    /// `None`, and the advisor rejects them as invalid queries.
     fn describe(&self) -> Option<WorkloadDesc> {
         None
     }

@@ -13,9 +13,10 @@
 //! neither counts the other's spliced ops as collectives, so
 //! `Checkpointed(Verified(w))` keeps both cut cadences independent.
 
+use crate::checkpoint::splice_cuts;
 use crate::Workload;
 use numerics::{abft_iter_flops, cg_iter_flops, ABFT_CHECK_INTERVAL};
-use sim_mpi::{JobSpec, Op, OpSource, Program};
+use sim_mpi::{JobSpec, Op};
 
 /// When and how expensively to verify.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,63 +72,15 @@ impl Workload for Verified<'_> {
     }
 
     fn build(&self, np: usize) -> JobSpec {
-        let inner = self.inner.build(np);
-        let policy = self.policy;
-        let sources = inner
-            .sources
-            .into_iter()
-            .map(|s| {
-                OpSource::streamed(VerifyProgram {
-                    inner: s,
-                    policy,
-                    seen: 0,
-                    queued: false,
-                })
-            })
-            .collect();
-        JobSpec::from_sources(self.name(), sources, inner.meta.section_names)
+        let cut = Op::Verify {
+            flops: self.policy.flops,
+            state_bytes: self.policy.state_bytes,
+        };
+        splice_cuts(self.name(), self.inner, np, self.policy.every_colls, cut)
     }
 
     fn memory_per_rank_bytes(&self, np: usize) -> u64 {
         self.inner.memory_per_rank_bytes(np)
-    }
-}
-
-/// Streams the inner source, counting world collectives and emitting an
-/// [`Op::Verify`] right after every `every_colls`-th one.
-struct VerifyProgram {
-    inner: OpSource,
-    policy: VerifyPolicy,
-    /// World collectives seen since the last verify.
-    seen: u64,
-    /// A verify is due before the next inner op.
-    queued: bool,
-}
-
-impl Program for VerifyProgram {
-    fn next_op(&mut self) -> Option<Op> {
-        if self.queued {
-            self.queued = false;
-            return Some(Op::Verify {
-                flops: self.policy.flops,
-                state_bytes: self.policy.state_bytes,
-            });
-        }
-        let op = self.inner.next_op()?;
-        if matches!(op, Op::Coll(_)) {
-            self.seen += 1;
-            if self.seen == self.policy.every_colls {
-                self.seen = 0;
-                self.queued = true;
-            }
-        }
-        Some(op)
-    }
-
-    fn rewind(&mut self) {
-        self.inner.rewind();
-        self.seen = 0;
-        self.queued = false;
     }
 }
 

@@ -20,7 +20,7 @@
 use cloudsim::prelude::*;
 use cloudsim::sim_advisor::{AdvisorService, PlatformId, Query, QueryPolicy, WorkloadId};
 use cloudsim::sim_sweep::SweepOpts;
-use cloudsim::{advise, PriceModel};
+use cloudsim::{advice_table, advise, PriceModel};
 
 fn main() {
     println!("== per-workload advice (class A, 32 ranks) ==\n");
@@ -31,22 +31,24 @@ fn main() {
         Box::new(Npb::new(Kernel::Is, Class::A)),
     ];
     for w in &candidates {
-        let rec = advise(w.as_ref(), 32);
+        let rec = advise(w.as_ref(), 32).expect("advice");
         println!(
             "{}",
-            rec.to_table(&format!("advice: {} @ 32 ranks", w.name()))
-                .to_text()
+            advice_table(&rec, &format!("advice: {} @ 32 ranks", w.name())).to_text()
         );
     }
 
     println!("== deadline shopping ==\n");
     let w = Npb::new(Kernel::Mg, Class::A);
-    let rec = advise(&w, 32);
+    let rec = advise(&w, 32).expect("advice");
     for deadline in [0.5f64, 2.0, 20.0] {
         match rec.best_within_deadline(deadline) {
             Some(f) => println!(
                 "deadline {deadline:>5.1}s: run on {:<5} ({:.2}s, ${:.2} on-demand, ${:.2} spot)",
-                f.platform, f.elapsed_secs, f.on_demand_cost, f.spot_cost
+                f.platform.name(),
+                f.verdict.elapsed_secs,
+                f.verdict.on_demand_cost,
+                f.verdict.spot_cost
             ),
             None => println!("deadline {deadline:>5.1}s: no platform meets it"),
         }

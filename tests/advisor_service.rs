@@ -1,12 +1,12 @@
-//! Integration suite for the `sim-advisor` service layer (ISSUE 10).
+//! Integration suite for the `sim-advisor` service layer.
 //!
 //! * cache-on vs cache-off bit-identical verdicts across seeds ×
 //!   platforms × kernels;
 //! * hash-collision smoke: 10k distinct queries never share a cache slot;
 //! * snapshot round-trip byte-identity + typed rejection of snapshots
 //!   with a perturbed calibration fingerprint;
-//! * golden-diff of the legacy `advise()` output (deprecate-by-delegation
-//!   must not move a byte);
+//! * golden-diff of the `advise()` example output (the facade on the
+//!   service must not move a byte);
 //! * fleet determinism across worker counts, warm vs cold.
 
 use cloudsim::prelude::*;
@@ -14,7 +14,7 @@ use cloudsim::sim_advisor::{
     AdvisorError, AdvisorService, PlatformId, Query, VerdictCache, WorkloadId,
 };
 use cloudsim::sim_sweep::SweepOpts;
-use cloudsim::{advise, PriceModel};
+use cloudsim::{advice_table, advise, PriceModel};
 
 fn npb(kernel: Kernel, class: Class) -> WorkloadId {
     WorkloadId::Npb { kernel, class }
@@ -23,16 +23,14 @@ fn npb(kernel: Kernel, class: Class) -> WorkloadId {
 #[test]
 fn cache_on_vs_cache_off_bit_identical() {
     let cached = AdvisorService::new();
-    let uncached = AdvisorService::new().without_cache();
     for seed in [0x5EED_0000u64, 7, 424242] {
         for platform in PlatformId::ALL {
             for kernel in [Kernel::Cg, Kernel::Mg, Kernel::Ep, Kernel::Is] {
                 let q = Query::new(npb(kernel, Class::S), platform, 8).with_seed(seed);
                 let miss = cached.evaluate(&q).expect("cached evaluate");
                 let hit = cached.evaluate(&q).expect("cached re-evaluate");
-                let off = uncached.evaluate(&q).expect("uncached evaluate");
                 let direct = cached.evaluate_uncached(&q).expect("direct evaluate");
-                for v in [hit, off, direct] {
+                for v in [hit, direct] {
                     assert_eq!(
                         miss.content_digest(),
                         v.content_digest(),
@@ -211,9 +209,9 @@ fn fleet_is_thread_count_invariant_and_warm_equals_cold() {
     }
 }
 
-/// Deprecate-by-delegation: the exact text the pre-service
-/// `examples/cloudburst_advisor.rs` printed, regenerated through the
-/// delegating `advise()`, must match the committed golden byte for byte.
+/// The exact text the pre-service `examples/cloudburst_advisor.rs`
+/// printed, regenerated through `advise()` on the advisor service, must
+/// match the committed golden byte for byte.
 #[test]
 fn legacy_advisor_example_output_is_golden() {
     let mut out = String::new();
@@ -225,21 +223,23 @@ fn legacy_advisor_example_output_is_golden() {
         Box::new(Npb::new(Kernel::Is, Class::A)),
     ];
     for w in &candidates {
-        let rec = advise(w.as_ref(), 32);
+        let rec = advise(w.as_ref(), 32).expect("advice");
         out.push_str(&format!(
             "{}\n",
-            rec.to_table(&format!("advice: {} @ 32 ranks", w.name()))
-                .to_text()
+            advice_table(&rec, &format!("advice: {} @ 32 ranks", w.name())).to_text()
         ));
     }
     out.push_str("== deadline shopping ==\n\n");
     let w = Npb::new(Kernel::Mg, Class::A);
-    let rec = advise(&w, 32);
+    let rec = advise(&w, 32).expect("advice");
     for deadline in [0.5f64, 2.0, 20.0] {
         match rec.best_within_deadline(deadline) {
             Some(f) => out.push_str(&format!(
                 "deadline {deadline:>5.1}s: run on {:<5} ({:.2}s, ${:.2} on-demand, ${:.2} spot)\n",
-                f.platform, f.elapsed_secs, f.on_demand_cost, f.spot_cost
+                f.platform.name(),
+                f.verdict.elapsed_secs,
+                f.verdict.on_demand_cost,
+                f.verdict.spot_cost
             )),
             None => out.push_str(&format!(
                 "deadline {deadline:>5.1}s: no platform meets it\n"
@@ -261,7 +261,7 @@ fn legacy_advisor_example_output_is_golden() {
         "/tests/golden_advisor.txt"
     ))
     .expect("golden file");
-    assert_eq!(out, golden, "delegated advise() moved the legacy output");
+    assert_eq!(out, golden, "advise() moved the pinned output");
 }
 
 #[test]

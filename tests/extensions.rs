@@ -111,22 +111,54 @@ fn trace_of_a_real_workload_matches_its_ledger() {
 
 #[test]
 fn advisor_agrees_with_direct_simulation() {
-    let w = Npb::new(Kernel::Ft, Class::W);
-    let rec = cloudsim::advise(&w, 16);
-    // The advisor's vayu forecast equals a direct run.
-    let direct = cloudsim::Experiment::new(&w, &presets::vayu(), 16)
-        .repeats(1)
-        .run_once()
-        .unwrap()
-        .0
-        .elapsed_secs();
-    let forecast = rec
-        .by_time
-        .iter()
-        .find(|f| f.platform == "vayu")
-        .unwrap()
-        .elapsed_secs;
-    assert!((forecast - direct).abs() < 1e-9);
+    use cloudsim::sim_advisor::{PlatformId, QueryProfile};
+    for (kernel, class, np) in [
+        (Kernel::Ft, Class::W, 16usize),
+        (Kernel::Cg, Class::S, 16),
+        (Kernel::Ep, Class::S, 8),
+        (Kernel::Is, Class::S, 32),
+    ] {
+        let w = Npb::new(kernel, class);
+        let advice = cloudsim::advise(&w, np).unwrap();
+        assert_eq!(advice.ranked.len(), 3, "{kernel:?}");
+        assert!(advice
+            .ranked
+            .windows(2)
+            .all(|p| p[0].verdict.elapsed_secs <= p[1].verdict.elapsed_secs));
+        // NPB declares no memory footprint, so the advisor places block on
+        // every platform: each leg is one default `Experiment` run.
+        assert_eq!(w.memory_per_rank_bytes(np), 0);
+        for f in &advice.ranked {
+            let cluster = f.platform.cluster();
+            let (res, rep) = cloudsim::Experiment::new(&w, &cluster, np)
+                .run_once()
+                .unwrap();
+            let price = cloudsim::PriceModel::for_platform(&cluster);
+            let nodes = res.placement.nodes_used();
+            let v = &f.verdict;
+            let what = format!("{kernel:?} {class:?} np={np} {:?}", f.platform);
+            assert_eq!(
+                v.elapsed_secs.to_bits(),
+                res.elapsed_secs().to_bits(),
+                "{what}"
+            );
+            assert_eq!(v.nodes as usize, nodes, "{what}");
+            assert_eq!(
+                v.on_demand_cost.to_bits(),
+                price.cost(nodes, res.elapsed_secs()).to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                v.spot_cost.to_bits(),
+                price.spot_cost(nodes, res.elapsed_secs()).to_bits(),
+                "{what}"
+            );
+            assert_eq!(v.comm_pct.to_bits(), res.comm_pct().to_bits(), "{what}");
+            if f.platform == PlatformId::Vayu {
+                assert_eq!(advice.profile, QueryProfile::from_run(&res, &rep), "{what}");
+            }
+        }
+    }
 }
 
 #[test]
