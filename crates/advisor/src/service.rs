@@ -237,6 +237,17 @@ impl QueryProfile {
         }
     }
 
+    /// The profile of the run behind `verdict`: the same fractions, bit
+    /// for bit, that [`QueryProfile::from_run`] extracts from that run.
+    pub fn from_verdict(verdict: &Verdict) -> QueryProfile {
+        QueryProfile {
+            comm_frac: verdict.comm_pct / 100.0,
+            collective_frac: verdict.collective_frac,
+            io_frac: verdict.io_pct / 100.0,
+            imbalance: verdict.imbalance_pct / 100.0,
+        }
+    }
+
     /// Cloud-friendliness score in 0..1 (1 = perfect cloud candidate).
     /// Communication — especially collective/small-message communication —
     /// and I/O are what commodity clouds punish (paper §V, related work
@@ -384,12 +395,7 @@ impl AdvisorService {
         for platform in PlatformId::ALL {
             let verdict = self.evaluate(&Query::new(workload, platform, np))?;
             if platform == PlatformId::Vayu {
-                profile = Some(QueryProfile {
-                    comm_frac: verdict.comm_pct / 100.0,
-                    collective_frac: verdict.collective_frac,
-                    io_frac: verdict.io_pct / 100.0,
-                    imbalance: verdict.imbalance_pct / 100.0,
-                });
+                profile = Some(QueryProfile::from_verdict(&verdict));
             }
             ranked.push(RankedForecast { platform, verdict });
         }

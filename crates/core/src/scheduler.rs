@@ -7,7 +7,9 @@
 //! end to end, driving the `sim-sched` scheduler subsystem:
 //!
 //! * a **runtime oracle** that predicts each job's per-platform runtime by
-//!   actually simulating it once per platform ([`synthetic_mix`]);
+//!   actually simulating it once per platform ([`synthetic_mix`]): the
+//!   process-wide advisor ([`crate::advisor_service`]) runs each profile
+//!   once and serves every later call from its verdict cache;
 //! * the historical three-site queue model ([`plain_sites`]: FCFS, no
 //!   contention) run through [`sim_sched::simulate_burst`];
 //! * the **contended rerun** ([`arrive_f_rerun_table`]): the same
@@ -20,16 +22,17 @@
 //! [`sim_sched::BurstStats`]); this module only builds the mixes and the
 //! sites and renders the tables. Site 0 is always Vayu, then DCC and EC2.
 
-use crate::experiment::Experiment;
+use crate::advisor::advisor_service;
 use crate::table::{fmt_pct, fmt_ratio, fmt_secs, Table};
-use sim_advisor::QueryProfile;
+use sim_advisor::{PlatformId, Query, QueryPolicy, QueryProfile, WorkloadId};
 use sim_des::DetRng;
 use sim_net::ContentionParams;
-use sim_platform::{presets, Strategy};
+use sim_platform::presets;
 use sim_sched::{
     lublin_burst_mix, simulate_burst, BurstJob, BurstPolicy, BurstSite, Discipline,
     PlacementPolicy, PriceModel,
 };
+use sim_sweep::SweepOpts;
 use workloads::{Class, Kernel, Npb, Workload};
 
 /// Capacities of the three sites, in nodes.
@@ -66,13 +69,16 @@ pub fn plain_sites(caps: Capacities) -> Vec<BurstSite> {
     ]
 }
 
-/// Build a deterministic synthetic job mix by actually profiling each
-/// kernel once per platform (the "lightweight online profiling" of
-/// ARRIVE-F, §II). `load` scales the arrival rate: 1.0 saturates the HPC
-/// partition. Runtimes are per site in [`plain_sites`] order.
+/// Build a deterministic synthetic job mix from the "lightweight online
+/// profiling" of ARRIVE-F (§II): every template is profiled once per
+/// platform by the process-wide advisor ([`advisor_service`]), as one
+/// fleet fanned out over `sim-sweep`, so later calls in the process
+/// (other loads, other seeds) are served from its verdict cache. `load`
+/// scales the arrival rate: 1.0 saturates the HPC partition. Runtimes are
+/// per site in [`plain_sites`] order.
 pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<BurstJob> {
     // Candidate job templates: kernel at a rank count, profiled once.
-    let templates: Vec<(Kernel, usize)> = vec![
+    let templates: [(Kernel, u32); 10] = [
         (Kernel::Ep, 16),
         (Kernel::Ep, 32),
         (Kernel::Mg, 16),
@@ -86,33 +92,42 @@ pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<BurstJob> {
         (Kernel::Mg, 64),
         (Kernel::Lu, 64),
     ];
-    let platforms = [presets::vayu(), presets::dcc(), presets::ec2()];
-    let profiled: Vec<([f64; 3], f64, String, usize)> = templates
+    // One query per template and platform, in `plain_sites` order: block
+    // placement at the `Experiment` base seed. Widest templates first, so
+    // the costliest runs start first on the sweep's workers.
+    let queries: Vec<Query> = templates
         .iter()
-        .map(|(k, np)| {
-            let w = Npb::new(*k, Class::A);
-            let mut rt = [0.0; 3];
-            let mut friendliness = 0.0;
-            for (i, c) in platforms.iter().enumerate() {
-                let (res, rep) = Experiment::new(&w, c, *np)
-                    .strategy(Strategy::Block)
-                    .repeats(1)
-                    .run_once()
-                    .expect("profiling run");
-                rt[i] = res.elapsed_secs();
-                if i == 0 {
-                    friendliness = QueryProfile::from_run(&res, &rep).cloud_friendliness();
-                }
-            }
-            let nodes = np.div_ceil(8);
-            (rt, friendliness, w.name(), nodes)
+        .rev()
+        .flat_map(|&(kernel, np)| {
+            let workload = WorkloadId::Npb {
+                kernel,
+                class: Class::A,
+            };
+            PlatformId::ALL.map(|p| Query::new(workload, p, np).with_policy(QueryPolicy::Block))
+        })
+        .collect();
+    let fleet = advisor_service()
+        .evaluate_fleet(&queries, &SweepOpts::default())
+        .expect("profiling run");
+    let profiled: Vec<BurstJob> = templates
+        .iter()
+        .zip(fleet.verdicts.chunks(PlatformId::ALL.len()).rev())
+        .map(|(&(kernel, np), legs)| BurstJob {
+            id: 0,
+            name: Npb::new(kernel, Class::A).name(),
+            nodes: (np as usize).div_ceil(8),
+            submit: 0.0,
+            runtime: legs.iter().map(|v| v.elapsed_secs).collect(),
+            comm_fraction: 0.0,
+            // Scored on the supercomputer (Vayu) leg.
+            friendliness: QueryProfile::from_verdict(&legs[0]).cloud_friendliness(),
         })
         .collect();
 
     // Mean service demand on the HPC partition, for arrival-rate scaling.
     let mean_node_secs: f64 = profiled
         .iter()
-        .map(|(rt, _, _, nodes)| rt[0] * *nodes as f64)
+        .map(|j| j.runtime[0] * j.nodes as f64)
         .sum::<f64>()
         / profiled.len() as f64;
     let cap = Capacities::default();
@@ -122,16 +137,12 @@ pub fn synthetic_mix(n_jobs: usize, load: f64, seed: u64) -> Vec<BurstJob> {
     let mut t = 0.0;
     (0..n_jobs)
         .map(|id| {
-            let (rt, friendliness, name, nodes) = &profiled[rng.index(profiled.len())];
+            let template = &profiled[rng.index(profiled.len())];
             t += rng.exponential(mean_interarrival);
             BurstJob {
                 id,
-                name: name.clone(),
-                nodes: *nodes,
                 submit: t,
-                runtime: rt.to_vec(),
-                comm_fraction: 0.0,
-                friendliness: *friendliness,
+                ..template.clone()
             }
         })
         .collect()
@@ -286,13 +297,20 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "heavy simulation; run with --release")]
     fn deterministic_mix() {
+        // The seed alone picks the templates; the load only rescales the
+        // gaps between submissions, so a busier mix submits every job
+        // earlier.
         let a = synthetic_mix(10, 1.0, 7);
-        let b = synthetic_mix(10, 1.0, 7);
-        assert_eq!(a.len(), b.len());
+        let b = synthetic_mix(10, 1.6, 7);
+        assert_eq!((a.len(), b.len()), (10, 10));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.submit, y.submit);
-            assert_eq!(x.name, y.name);
+            assert_eq!((x.id, &x.name, x.nodes), (y.id, &y.name, y.nodes));
+            assert_eq!(bits(&x.runtime), bits(&y.runtime));
+            assert_eq!(x.friendliness.to_bits(), y.friendliness.to_bits());
             assert_eq!(x.runtime.len(), plain_sites(Capacities::default()).len());
+            assert!((0.0..=1.0).contains(&x.friendliness), "{x:?}");
+            assert!(y.submit < x.submit, "{x:?} vs {y:?}");
         }
     }
 

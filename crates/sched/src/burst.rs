@@ -84,7 +84,8 @@ pub struct BurstJob {
     /// Predicted nominal runtime on each site, seconds.
     pub runtime: Vec<f64>,
     pub comm_fraction: f64,
-    /// Profiled cloud-friendliness in `[0, 1]`.
+    /// Profiled cloud-friendliness in `[0, 1]`; `simulate_burst` rejects
+    /// any other value.
     pub friendliness: f64,
 }
 
@@ -182,15 +183,34 @@ pub struct BurstStats {
 
 /// Reject what a burst run cannot schedule, through the same checks as
 /// site inputs: no home site, a site without nodes or with a non-finite
-/// walltime factor or revocation rate, a runtime vector that does not
-/// name every site, bad per-site times, or a job the home site can never
-/// hold. A job too wide for a cloud site simply never bursts there.
-fn validate(jobs: &[BurstJob], sites: &[BurstSite]) -> Result<(), SchedError> {
+/// walltime factor or revocation rate, a NaN burst threshold or a NaN or
+/// negative budget, a runtime vector that does not name every site, a
+/// friendliness outside `[0, 1]`, bad per-site times, or a job the home
+/// site can never hold. (A NaN threshold, budget or friendliness would
+/// otherwise fail every comparison and silently mean "never burst".) A
+/// job too wide for a cloud site simply never bursts there.
+fn validate(jobs: &[BurstJob], sites: &[BurstSite], policy: BurstPolicy) -> Result<(), SchedError> {
     let Some(home) = sites.first() else {
         return Err(SchedError::InvalidConfig {
             reason: "a burst run needs at least the home site".to_string(),
         });
     };
+    let bad_policy = match policy {
+        BurstPolicy::CloudBurst { threshold } | BurstPolicy::CostAwareBurst { threshold, .. }
+            if threshold.is_nan() =>
+        {
+            Some("burst threshold NaN".to_string())
+        }
+        BurstPolicy::CostAwareBurst { max_dollars, .. }
+            if max_dollars.is_nan() || max_dollars < 0.0 =>
+        {
+            Some(format!("burst budget {max_dollars} dollars"))
+        }
+        _ => None,
+    };
+    if let Some(reason) = bad_policy {
+        return Err(SchedError::InvalidConfig { reason });
+    }
     for s in sites {
         let bad = |what: String| {
             Err(SchedError::InvalidConfig {
@@ -213,6 +233,12 @@ fn validate(jobs: &[BurstJob], sites: &[BurstSite]) -> Result<(), SchedError> {
             return Err(SchedError::InvalidJob {
                 job: i,
                 reason: format!("{} runtimes for {} sites", j.runtime.len(), sites.len()),
+            });
+        }
+        if !(0.0..=1.0).contains(&j.friendliness) {
+            return Err(SchedError::InvalidJob {
+                job: i,
+                reason: format!("friendliness {} outside [0, 1]", j.friendliness),
             });
         }
         validate_job(i, &j.on_site(0, home), &home_cfg)?;
@@ -329,8 +355,8 @@ impl OutcomeSink for Billing<'_> {
 }
 
 /// Simulate a job stream over `sites` under `policy`. Deterministic.
-/// Malformed jobs and sites are typed errors (see the validation above),
-/// never a panic or a run that cannot end.
+/// Malformed jobs, sites and policies are typed errors (see the validation
+/// above), never a panic or a run that cannot end.
 pub fn simulate_burst(
     jobs: &[BurstJob],
     sites: &[BurstSite],
@@ -338,7 +364,7 @@ pub fn simulate_burst(
     preempt: Option<PreemptSpec>,
     checkpoint: Option<CheckpointSpec>,
 ) -> Result<BurstStats, SchedError> {
-    validate(jobs, sites)?;
+    validate(jobs, sites, policy)?;
     // Each site's arena holds a per-site view of every job (site-specific
     // runtimes/walltimes); requeues after a preemption rewrite the
     // home-site view.
@@ -553,6 +579,65 @@ mod tests {
             matches!(r, Err(SchedError::InvalidJob { job: 3, .. })),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn a_nan_friendliness_is_rejected_instead_of_never_bursting() {
+        let mut jobs = quick_jobs();
+        jobs[4].friendliness = f64::NAN;
+        let policy = BurstPolicy::CloudBurst { threshold: 0.5 };
+        let r = simulate_burst(&jobs, &sites(), policy, None, None);
+        assert!(
+            matches!(r, Err(SchedError::InvalidJob { job: 4, .. })),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn a_friendliness_outside_unit_range_is_rejected() {
+        for f in [-0.1, 1.5, f64::INFINITY] {
+            let mut jobs = quick_jobs();
+            jobs[6].friendliness = f;
+            let r = simulate_burst(&jobs, &sites(), BurstPolicy::HpcOnly, None, None);
+            assert!(
+                matches!(r, Err(SchedError::InvalidJob { job: 6, .. })),
+                "friendliness {f}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_threshold_is_rejected_instead_of_never_bursting() {
+        for policy in [
+            BurstPolicy::CloudBurst {
+                threshold: f64::NAN,
+            },
+            BurstPolicy::CostAwareBurst {
+                threshold: f64::NAN,
+                max_dollars: 10.0,
+            },
+        ] {
+            let r = simulate_burst(&quick_jobs(), &sites(), policy, None, None);
+            assert!(
+                matches!(r, Err(SchedError::InvalidConfig { .. })),
+                "{policy:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_or_negative_budget_is_rejected_instead_of_never_bursting() {
+        for max_dollars in [f64::NAN, -1.0] {
+            let policy = BurstPolicy::CostAwareBurst {
+                threshold: 0.5,
+                max_dollars,
+            };
+            let r = simulate_burst(&quick_jobs(), &sites(), policy, None, None);
+            assert!(
+                matches!(r, Err(SchedError::InvalidConfig { .. })),
+                "{policy:?}: {r:?}"
+            );
+        }
     }
 
     #[test]

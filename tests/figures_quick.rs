@@ -167,7 +167,17 @@ fn pinned(heavy: bool) -> Vec<(String, Table)> {
             .into_iter()
             .zip(figures::fig4_npb_speedups(&c))
             .collect();
+        // 4 loads × 10 templates × 3 platforms of profiling: the first load
+        // simulates the 30 distinct runs, the other three are cache hits.
+        // Nothing else in this binary uses the process-wide advisor.
+        let before = cloudsim::advisor_service().stats();
         out.push(("arrivef".into(), cloudsim::arrive_f_table(30, 42)));
+        let after = cloudsim::advisor_service().stats();
+        assert_eq!(
+            (after.misses - before.misses, after.hits - before.hits),
+            (30, 90),
+            "ARRIVE-F profiling is not served once per distinct run"
+        );
         assert_eq!(out.len(), HEAVY_ENTRIES);
         return out;
     }
