@@ -282,6 +282,47 @@ impl FaultModel {
                 && self.preempt_per_node_hour <= 0.0
                 && self.sdc_per_node_hour <= 0.0)
     }
+
+    /// Every numeric field by name, for input validation. The exhaustive
+    /// destructuring makes a new field a compile error here until it is
+    /// listed.
+    pub fn numeric_fields(&self) -> [(&'static str, f64); 15] {
+        let FaultModel {
+            name: _,
+            scale,
+            crash_per_node_hour,
+            crash_mean_secs,
+            nic_per_node_hour,
+            nic_mean_secs,
+            nic_factor,
+            steal_per_node_hour,
+            steal_mean_secs,
+            steal_factor,
+            brownout_per_hour,
+            brownout_mean_secs,
+            brownout_factor,
+            preempt_per_node_hour,
+            sdc_per_node_hour,
+            sdc_mean_severity,
+        } = *self;
+        [
+            ("scale", scale),
+            ("crash_per_node_hour", crash_per_node_hour),
+            ("crash_mean_secs", crash_mean_secs),
+            ("nic_per_node_hour", nic_per_node_hour),
+            ("nic_mean_secs", nic_mean_secs),
+            ("nic_factor", nic_factor),
+            ("steal_per_node_hour", steal_per_node_hour),
+            ("steal_mean_secs", steal_mean_secs),
+            ("steal_factor", steal_factor),
+            ("brownout_per_hour", brownout_per_hour),
+            ("brownout_mean_secs", brownout_mean_secs),
+            ("brownout_factor", brownout_factor),
+            ("preempt_per_node_hour", preempt_per_node_hour),
+            ("sdc_per_node_hour", sdc_per_node_hour),
+            ("sdc_mean_severity", sdc_mean_severity),
+        ]
+    }
 }
 
 /// Exponential-backoff retry for ops stalled on a crashed node.

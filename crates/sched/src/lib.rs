@@ -11,8 +11,9 @@
 //!   reference scheduler that shares none of its code;
 //! * **queue disciplines** — FCFS, EASY backfill and conservative
 //!   backfill ([`Discipline`], [`simulate_site`]), with walltime estimates
-//!   and the EASY invariant (backfilled jobs never delay the queue head's
-//!   reservation);
+//!   and the EASY invariant (backfilled jobs do not delay the queue head's
+//!   reservation, except where its node-count quote misses a later dip in
+//!   the head's window or a rack-strict placement; see [`site`]);
 //! * **calendars and contracts** — advance reservations ([`SchedJob::at`])
 //!   and maintenance windows ([`Maintenance`]) pre-split into the slot
 //!   set, per-project concurrency quotas ([`QuotaRule`]), job dependency

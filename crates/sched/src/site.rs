@@ -20,8 +20,13 @@
 //!   computed from running jobs' walltimes; *extra nodes*: what's left over
 //!   at the shadow). A later job may jump the queue iff it fits the free
 //!   nodes now **and** either finishes (by its walltime) before the shadow
-//!   or only uses extra nodes. Under that rule a backfill can never delay
-//!   the head's reservation — the EASY invariant.
+//!   or only uses extra nodes. Under that rule a backfill does not delay
+//!   the head's reservation — the EASY invariant — as long as the quote
+//!   sees what the head needs. It is a node count, so it can miss two
+//!   things: a maintenance window or advance reservation that dips the
+//!   profile later in the head's window (`extra` is the level at the
+//!   shadow alone), and `RackStrict`'s one-rack rule. In either case a
+//!   backfill can start a quoted head late, with no fault involved.
 //! * **Conservative backfill** — every queued job holds a *persistent*
 //!   reservation against the walltime profile, quoted once on arrival in
 //!   FCFS order and thereafter only compressed (moved earlier when an early
@@ -1066,45 +1071,56 @@ impl SiteState {
             }
     }
 
-    /// EASY: start the head while it fits; otherwise quote (and pin) the
-    /// head's reservation and scan the rest of the queue for backfills.
+    /// EASY: start the head while it fits and its quota allows; otherwise
+    /// quote the head's reservation and make one backfill pass over the
+    /// rest of the queue.
     ///
-    /// Unconstrained, the scan is one pass with starts taken in place. A
-    /// start only removes capacity (free nodes shrink, `extra` shrinks or
-    /// holds, the shadow holds: a window-fit start completes before it, an
-    /// extra-fit start leaves the level at the shadow at or above the
-    /// head's need), so every candidate that already failed re-fails and a
-    /// restart from the front visits no new starts — the same schedule
-    /// without the O(queue²) re-walk. For the same reason the cross-event
-    /// watermark may skip the prefix the last scan rejected. Constrained
-    /// runs take the windowed re-scan below.
+    /// A candidate meets the cheap tests first — its width against the
+    /// free set at `now`, then the shadow/extra rule — and only then the
+    /// placement walk and the quota gate. Every test must pass to start,
+    /// so the order cannot change the outcome (and placement implies the
+    /// width test: any window's availability from `now` is a subset of the
+    /// free set at `now`). A start is taken in place and the pass goes on
+    /// from the same position: a start only tightens every other test
+    /// (window availability shrinks, quota usage grows, the head stays
+    /// blocked), so a candidate that failed earlier in the pass fails
+    /// again, and a restart from the front would visit no new start. Two
+    /// rules keep that exact:
+    ///
+    /// * **Re-scan.** The shadow/extra rule is the one test a start can
+    ///   loosen: a maintenance window or advance reservation dipping the
+    ///   profile inside the head's window can push the requoted shadow
+    ///   later or raise `extra`, and so, by a sub-`EPS` residue, can a
+    ///   fault carve whose edge is off the `SimTime` grid. A constrained
+    ///   pass then goes back to position 1. The comparison is strict,
+    ///   without `EPS` slack: a re-scan is always what restarting from
+    ///   the head would do.
+    ///   Unconstrained, the profile from `now` only rises, and the pass
+    ///   (like the cross-event watermark) never looks back.
+    /// * **Re-pin.** A head blocked only by its quota is not pinned; once
+    ///   a backfill leaves it without a placement, its reservation is
+    ///   pinned at the requoted shadow.
     fn try_start_easy(&mut self, now: f64) -> Result<(), SchedError> {
-        if self.constrained() {
-            return self.try_start_easy_windowed(now);
-        }
         if self.backfill_fast_path() {
             return Ok(());
         }
-        // Start the head while it fits.
-        loop {
+        let constrained = self.constrained();
+        let head_placeable = loop {
             let Some(&head) = self.queue.front() else {
                 self.scan_watermark = 0;
                 return Ok(());
             };
             let hv = self.jobs[head].view;
             match self.placement_fit(now, &hv) {
-                Some(cand) => {
+                Some(cand) if self.quota_ok(now, head, hv.nodes) => {
                     self.start_job(0, now, &cand)?;
                     self.scan_watermark = 0;
                 }
-                None => break,
+                fit => break fit.is_some(),
             }
-        }
+        };
         let head = *self.queue.front().expect("checked above");
         let hv = self.jobs[head].view;
-        // Head blocked: quote (and pin) its reservation. Unconstrained,
-        // a placement miss is the only block, so the pin is unconditional
-        // (cf. the quota-blocked case in the windowed scan).
         let quote = |st: &SiteState| {
             st.easy_reservation(now, hv.nodes, hv.walltime)
                 .ok_or(SchedError::InsufficientNodes {
@@ -1114,84 +1130,47 @@ impl SiteState {
                 })
         };
         let (mut shadow, mut extra) = quote(self)?;
-        if self.jobs[head].reserved.is_none() {
+        // Only a capacity block pins a promise: an admission (quota) block
+        // is not the scheduler's to promise around, and the quote still
+        // bounds what may backfill safely.
+        if !head_placeable && self.jobs[head].reserved.is_none() {
             self.jobs[head].reserved = Some(shadow);
         }
-        // Width against the instantaneous free set bounds every placement:
-        // no policy can carve `nodes` out of fewer procs. Checking it (and
-        // the pure window tests) before the feasibility walk is
-        // outcome-neutral — all checks must pass to start.
         let mut free_len = self.slots.avail_at(now).len();
-        let mut pos = self.scan_watermark.max(1);
+        let mut pos = if constrained {
+            1
+        } else {
+            self.scan_watermark.max(1)
+        };
         while pos < self.queue.len() {
             let job = self.queue[pos];
             let v = self.jobs[job].view;
             let fits = v.nodes <= free_len
                 && (now + v.walltime <= shadow + EPS || v.nodes as i64 <= extra);
-            let Some(cand) = fits.then(|| self.placement_fit(now, &v)).flatten() else {
+            let Some(cand) = fits
+                .then(|| self.placement_fit(now, &v))
+                .flatten()
+                .filter(|_| self.quota_ok(now, job, v.nodes))
+            else {
                 pos += 1;
                 continue;
             };
+            // The removal shifts the next candidate into `pos`.
             self.start_job(pos, now, &cand)?;
-            // The removal shifts the next candidate into `pos`; requote
-            // against the new profile (a start that consumed extra nodes
-            // shrinks the recomputed extra: its walltime now sits in the
-            // profile past the shadow).
-            (shadow, extra) = quote(self)?;
-            free_len = self.slots.avail_at(now).len();
-        }
-        self.scan_watermark = self.queue.len();
-        Ok(())
-    }
-
-    /// Constrained (quota / calendar / advance / fault) backfill: every
-    /// check is a window fit that slides with `now`, so each pass re-scans
-    /// from the front and nothing is cached across events.
-    fn try_start_easy_windowed(&mut self, now: f64) -> Result<(), SchedError> {
-        'sched: loop {
-            let Some(&head) = self.queue.front() else {
-                return Ok(());
-            };
-            let hv = self.jobs[head].view;
-            let head_fit = self.placement_fit(now, &hv);
-            if let Some(cand) = &head_fit {
-                if self.quota_ok(now, head, hv.nodes) {
-                    let cand = cand.clone();
-                    self.start_job(0, now, &cand)?;
-                    continue;
-                }
+            let (s, e) = quote(self)?;
+            if constrained && (s > shadow || e > extra) {
+                pos = 1;
             }
-            // Head blocked: quote its reservation. Only a capacity block
-            // pins a promise — an admission (quota) block is not the
-            // scheduler's to promise around, and the quote below still
-            // bounds what may backfill safely.
-            let (shadow, extra) = self.easy_reservation(now, hv.nodes, hv.walltime).ok_or(
-                SchedError::InsufficientNodes {
-                    job: head,
-                    need: hv.nodes,
-                    limit: self.pool.nodes(),
-                },
-            )?;
-            if head_fit.is_none() && self.jobs[head].reserved.is_none() {
+            (shadow, extra) = (s, e);
+            if self.jobs[head].reserved.is_none() && self.placement_fit(now, &hv).is_none() {
                 self.jobs[head].reserved = Some(shadow);
             }
-            for pos in 1..self.queue.len() {
-                let job = self.queue[pos];
-                let v = self.jobs[job].view;
-                let Some(cand) = self.placement_fit(now, &v) else {
-                    continue;
-                };
-                if !self.quota_ok(now, job, v.nodes) {
-                    continue;
-                }
-                if now + v.walltime > shadow + EPS && v.nodes as i64 > extra {
-                    continue;
-                }
-                self.start_job(pos, now, &cand)?;
-                continue 'sched;
-            }
-            return Ok(());
+            free_len = self.slots.avail_at(now).len();
         }
+        if !constrained {
+            self.scan_watermark = self.queue.len();
+        }
+        Ok(())
     }
 
     /// Conservative backfilling with *persistent* reservations. A fresh
@@ -1478,8 +1457,10 @@ fn increases(a: f64, b: f64) -> bool {
 }
 
 /// Reject a malformed site configuration: inverted or out-of-pool
-/// maintenance windows, zero-node or inverted quotas, a fault feed with a
-/// non-finite repair time or horizon.
+/// maintenance windows, zero-node or inverted quotas, and a fault feed
+/// with a NaN, infinite or negative model field, a scale above
+/// [`FaultModel::MAX_SCALE`], a non-finite or negative checkpoint
+/// interval or restore cost, or a non-finite repair time or horizon.
 pub(crate) fn validate_config(cfg: &SiteConfig) -> Result<(), SchedError> {
     let pool_nodes = cfg.pool.nodes();
     for m in &cfg.calendar {
@@ -1513,6 +1494,34 @@ pub(crate) fn validate_config(cfg: &SiteConfig) -> Result<(), SchedError> {
                 return Err(SchedError::InvalidConfig {
                     reason: format!("quota window [{b}, {e}) is inverted"),
                 });
+            }
+        }
+    }
+    if let Some(f) = &cfg.faults {
+        let bad = |reason: String| Err(SchedError::InvalidConfig { reason });
+        // A NaN or negative rate would silently mean "no faults", and an
+        // infinite one would draw zero-length gaps forever.
+        let fields = f.model.numeric_fields();
+        if let Some((name, x)) = fields.iter().find(|(_, x)| !x.is_finite() || *x < 0.0) {
+            return bad(format!(
+                "fault model {name} {x} is not finite and non-negative"
+            ));
+        }
+        if f.model.scale > FaultModel::MAX_SCALE {
+            return bad(format!(
+                "fault scale {} is above {}",
+                f.model.scale,
+                FaultModel::MAX_SCALE
+            ));
+        }
+        // A NaN restore cost would make a requeued rerun owe `EPS` seconds.
+        if let Some(ck) = f.requeue.checkpoint {
+            for (name, x) in [("interval", ck.interval), ("restore cost", ck.restore_cost)] {
+                if !x.is_finite() || x < 0.0 {
+                    return bad(format!(
+                        "checkpoint {name} {x} is not finite and non-negative"
+                    ));
+                }
             }
         }
     }
@@ -1988,6 +1997,80 @@ mod tests {
         assert!(r.outcomes[0].completed && r.outcomes[1].completed);
     }
 
+    // -- The EASY backfill pass ------------------------------------------
+
+    /// Jobs `(nodes, submit, runtime, project)` whose walltime is exactly
+    /// their runtime.
+    fn exact_jobs(spec: &[(usize, f64, f64, Option<u32>)]) -> Vec<SchedJob> {
+        spec.iter()
+            .enumerate()
+            .map(|(id, &(nodes, submit, runtime, project))| {
+                let mut j = SchedJob::new(id, nodes, submit, runtime, 0.0);
+                j.walltime = runtime;
+                j.project = project;
+                j
+            })
+            .collect()
+    }
+
+    fn starts(r: &SiteResult) -> Vec<f64> {
+        r.outcomes.iter().map(|o| o.start).collect()
+    }
+
+    #[test]
+    fn a_backfill_that_moves_the_quote_later_rescans_the_queue() {
+        // R holds nodes 0-2 until 50 and node 7 is down over [60, 100).
+        // H (7 nodes) is quoted at 50 with one extra node; A (3 nodes,
+        // ends at 91) fails the shadow test; B takes the extra node. That
+        // start pushes H's quote past the outage to 100, so A now passes:
+        // the pass goes back to A and starts it at 1, not at 180. H, pinned
+        // at 50, starts at 100: `extra` missed the dip (a known defect).
+        let c = cfg(8, 4, Discipline::Easy).with_maintenance(Maintenance {
+            begin: 60.0,
+            end: 100.0,
+            nodes: MaintNodes::Nodes(vec![7]),
+        });
+        let jobs = exact_jobs(&[
+            (3, 0.0, 50.0, None),
+            (7, 1.0, 80.0, None),
+            (3, 1.0, 90.0, None),
+            (1, 1.0, 200.0, None),
+        ]);
+        let r = simulate_site(&jobs, &c).unwrap();
+        assert_eq!(starts(&r), vec![0.0, 100.0, 1.0, 1.0], "{r:?}");
+        assert_eq!(r.reservations, vec![(1, 50.0)]);
+        assert_eq!(r.head_delay_violations, 1);
+    }
+
+    #[test]
+    fn a_quota_blocked_head_is_pinned_once_a_backfill_blocks_its_placement() {
+        // H (project 1) could be placed at 2 but its quota is full while
+        // R runs, so it holds no promise. B (2 nodes, project 2) backfills
+        // into rack 1 and leaves no rack with 3 free nodes: H is now
+        // blocked on capacity and is pinned at its quote, 2. The count
+        // quote ignores the one-rack rule, so H starts late at 100.
+        let c = SiteConfig::new(
+            NodePool::new(8, 4),
+            PlacementPolicy::RackStrict,
+            Discipline::Easy,
+            ContentionParams::NONE,
+        )
+        .with_quota(QuotaRule {
+            project: 1,
+            max_nodes: 4,
+            window: None,
+        });
+        let jobs = exact_jobs(&[
+            (3, 0.0, 100.0, Some(1)),
+            (3, 1.0, 50.0, Some(1)),
+            (2, 2.0, 300.0, Some(2)),
+        ]);
+        let r = simulate_site(&jobs, &c).unwrap();
+        assert_eq!(starts(&r), vec![0.0, 100.0, 2.0], "{r:?}");
+        assert_eq!(r.reservations, vec![(1, 2.0)]);
+        assert_eq!(r.head_delay_violations, 1);
+    }
+
     // -- Unplanned faults -------------------------------------------------
 
     /// A fail-stop-only model hot enough that an hour-long batch on a
@@ -2173,5 +2256,95 @@ mod tests {
             "a start after the quote is late"
         );
         assert_eq!(st.reservations(), vec![(on_time, 5.0), (late, 5.0)]);
+    }
+
+    // -- Fault-feed validation ------------------------------------------
+
+    /// Whether a small EASY batch under `f` is refused as a bad config.
+    /// Each test lists its finite cases before any infinite one, which
+    /// would hang the generator if it got past validation.
+    fn rejected(f: SiteFaults) -> bool {
+        let c = cfg(8, 4, Discipline::Easy).with_faults(f.with_mttr(120.0));
+        matches!(
+            simulate_site(&fault_jobs(4), &c),
+            Err(SchedError::InvalidConfig { .. })
+        )
+    }
+
+    #[test]
+    fn a_nan_or_infinite_fault_model_field_is_rejected() {
+        let m = crashy_model();
+        for bad in [
+            FaultModel {
+                scale: f64::NAN,
+                ..m.clone()
+            },
+            FaultModel {
+                crash_per_node_hour: f64::NAN,
+                ..m.clone()
+            },
+            FaultModel {
+                nic_factor: f64::NAN,
+                ..m.clone()
+            },
+            FaultModel {
+                crash_per_node_hour: f64::INFINITY,
+                ..m.clone()
+            },
+        ] {
+            assert!(rejected(SiteFaults::new(bad.clone(), 3)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_negative_fault_model_field_is_rejected() {
+        let m = crashy_model();
+        for bad in [
+            FaultModel {
+                crash_per_node_hour: -2.0,
+                ..m.clone()
+            },
+            FaultModel {
+                crash_mean_secs: -60.0,
+                ..m.clone()
+            },
+            FaultModel {
+                scale: -1.0,
+                ..m.clone()
+            },
+        ] {
+            assert!(rejected(SiteFaults::new(bad.clone(), 3)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_fault_scale_above_the_maximum_is_rejected() {
+        let bad = FaultModel {
+            scale: FaultModel::MAX_SCALE + 1.0,
+            ..crashy_model()
+        };
+        assert!(rejected(SiteFaults::new(bad, 3)));
+        let top = crashy_model().scaled(FaultModel::MAX_SCALE);
+        assert!(!rejected(SiteFaults::new(top, 3)));
+    }
+
+    #[test]
+    fn a_bad_checkpoint_is_rejected() {
+        for (interval, restore_cost) in [
+            (30.0, f64::NAN),
+            (-30.0, 5.0),
+            (30.0, -5.0),
+            (f64::INFINITY, 5.0),
+        ] {
+            let rq = RequeuePolicy::default().with_checkpoint(CheckpointSpec {
+                interval,
+                restore_cost,
+            });
+            let f = SiteFaults::new(crashy_model(), 3).with_requeue(rq);
+            assert!(
+                rejected(f),
+                "interval {interval}, restore cost {restore_cost}"
+            );
+        }
     }
 }
