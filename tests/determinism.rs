@@ -353,9 +353,11 @@ fn ambient_state_does_not_leak_into_results() {
 // bit-identical `SimResult` and an identical IPM report. These tests pin
 // digests of both across seeds x workloads x platforms — including runs
 // with fault injection and silent-data-corruption recovery — against
-// `tests/golden_digests.txt`, which was recorded with the pre-optimization
-// engine. Any fast path that changes a single clock tick, ledger entry or
-// report line fails here.
+// `tests/golden_digests.txt`. Its CG, MetUM and OSU rows were recorded with
+// the pre-optimization engine; its LU, MG and BT rows, which exercise eager
+// point-to-point matching, with the linear-scan channel tables that
+// preceded the hashed ones. Any fast path that changes a single clock tick,
+// ledger entry or report line fails here.
 //
 // Regenerate (only when an *intentional* semantic change lands) with:
 //     UPDATE_GOLDEN=1 cargo test --test determinism golden -- --ignored --nocapture
@@ -417,11 +419,17 @@ mod golden {
         let mut out = Vec::new();
         let platforms = [presets::vayu(), presets::dcc(), presets::ec2()];
 
-        // Fault-free: CG, MetUM and an OSU collective, profiled, 8 seeds.
+        // Fault-free, profiled, 8 seeds: CG, MetUM and an OSU collective
+        // (exchanges and collectives only), then LU, MG and BT, whose eager
+        // `Send`/`Recv` traffic drives the channel tables' deliver and
+        // receive paths (LU.S@16 matches on 128 channels per rank).
         let workloads: Vec<(&str, Box<dyn Workload>)> = vec![
             ("cg.S.np16", Box::new(Npb::new(Kernel::Cg, Class::S))),
             ("metum.2ts.np16", Box::new(MetUm { timesteps: 2 })),
             ("osu.allreduce4.np8", Box::new(OsuCollective::allreduce(4))),
+            ("lu.S.np16", Box::new(Npb::new(Kernel::Lu, Class::S))),
+            ("mg.S.np16", Box::new(Npb::new(Kernel::Mg, Class::S))),
+            ("bt.S.np16", Box::new(Npb::new(Kernel::Bt, Class::S))),
         ];
         for (label, w) in &workloads {
             let np = if label.ends_with("np8") { 8 } else { 16 };
@@ -488,7 +496,8 @@ mod golden {
 
     fn render(digests: &[(String, u64, u64)]) -> String {
         let mut s = String::from(
-            "# Golden SimResult + IPM digests, recorded with the pre-optimization engine.\n\
+            "# Golden SimResult + IPM digests: CG, MetUM, OSU and faulted CG recorded with the \
+             pre-optimization engine, LU, MG and BT with the linear-scan channel tables.\n\
              # label\tsim_digest\tipm_digest\n",
         );
         for (label, sim, ipm) in digests {
