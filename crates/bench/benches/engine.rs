@@ -167,6 +167,18 @@ fn main() {
         // scheduler noise on shared runners.
         run("engine_cg_smoke/np1024", 6, &mut job, &vayu);
     }
+    {
+        // Many-channel point-to-point: LU's pipelined wavefront sends
+        // eager messages on up to 128 (peer, tag) channels per rank, the
+        // path the channel tables' hashed second level serves.
+        let mut job = Npb::new(Kernel::Lu, Class::S).build(64);
+        run(
+            "engine_lu_wavefront/np64",
+            10 * scale,
+            &mut job,
+            &presets::dcc(),
+        );
+    }
 
     {
         // Scheduler throughput: jobs scheduled per second through the
@@ -461,12 +473,12 @@ fn main() {
     println!("{:<48} {calib:>12.0} calib-iters/s", "machine_calibration");
     let mut file = EngineBenchFile {
         fingerprint: "synthetic np8 x20000 / np64 x2000 exchange+allreduce; compute-heavy np16 \
-                      x2000; cg.S np=1024 on vayu; SimConfig::default seed; sched easy+rack-aware \
-                      2000 lublin jobs on dcc/32; sched-faults same mix + crashy feed seed 42; \
-                      slotset 10000 lublin jobs on 512 procs; sched-stream 1e4/1e5/1e6 lublin \
-                      jobs load 0.7 seed 42 on dcc/32; sweep 48-cell x400-job stream grid, 2 \
-                      threads; advisor 48-query npb S/W np4/8 x3 platforms, warm loop K=64, \
-                      fleet cold x2t"
+                      x2000; cg.S np=1024 on vayu; lu.S np=64 on dcc; SimConfig::default seed; \
+                      sched easy+rack-aware 2000 lublin jobs on dcc/32; sched-faults same mix + \
+                      crashy feed seed 42; slotset 10000 lublin jobs on 512 procs; sched-stream \
+                      1e4/1e5/1e6 lublin jobs load 0.7 seed 42 on dcc/32; sweep 48-cell x400-job \
+                      stream grid, 2 threads; advisor 48-query npb S/W np4/8 x3 platforms, warm \
+                      loop K=64, fleet cold x2t"
             .to_string(),
         calib_ops_per_sec: calib,
         results: records,

@@ -283,10 +283,10 @@ impl FaultModel {
                 && self.sdc_per_node_hour <= 0.0)
     }
 
-    /// Every numeric field by name, for input validation. The exhaustive
-    /// destructuring makes a new field a compile error here until it is
-    /// listed.
-    pub fn numeric_fields(&self) -> [(&'static str, f64); 15] {
+    /// Every numeric field by name, for [`validate`](Self::validate). The
+    /// exhaustive destructuring makes a new field a compile error here
+    /// until it is listed.
+    fn numeric_fields(&self) -> [(&'static str, f64); 15] {
         let FaultModel {
             name: _,
             scale,
@@ -322,6 +322,28 @@ impl FaultModel {
             ("sdc_per_node_hour", sdc_per_node_hour),
             ("sdc_mean_severity", sdc_mean_severity),
         ]
+    }
+
+    /// The model's input check, shared by the engine ([`FaultSpec::validate`])
+    /// and the scheduler: every numeric field finite and non-negative, and
+    /// `scale` at most [`MAX_SCALE`](Self::MAX_SCALE). A NaN or negative
+    /// rate would silently mean "no faults", and an infinite one would draw
+    /// zero-length gaps forever.
+    pub fn validate(&self) -> Result<(), String> {
+        let fields = self.numeric_fields();
+        if let Some((name, x)) = fields.iter().find(|(_, x)| !x.is_finite() || *x < 0.0) {
+            return Err(format!(
+                "fault model {name} {x} is not finite and non-negative"
+            ));
+        }
+        if self.scale > Self::MAX_SCALE {
+            return Err(format!(
+                "fault scale {} is above {}",
+                self.scale,
+                Self::MAX_SCALE
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -477,6 +499,46 @@ impl FaultSpec {
     pub fn with_recovery(mut self, recovery: RecoveryStrategy) -> Self {
         self.recovery = recovery;
         self
+    }
+
+    /// The engine's input check: the model's
+    /// ([`FaultModel::validate`]), then the horizon, the restart and
+    /// respawn delays and the retry policy's `f64` knobs finite and
+    /// non-negative, and an `sdc_threshold` that is not NaN. On the
+    /// `SimDur` grid a non-finite horizon or delay becomes zero, so a
+    /// horizon of infinity would silently mean no faults.
+    pub fn validate(&self) -> Result<(), String> {
+        self.model.validate()?;
+        let RetryPolicy {
+            timeout_secs,
+            backoff,
+            max_retries: _,
+            max_delay_secs,
+        } = self.retry;
+        let respawn_delay_secs = match self.recovery {
+            RecoveryStrategy::ShrinkSpare {
+                respawn_delay_secs, ..
+            } => respawn_delay_secs,
+            RecoveryStrategy::Restart | RecoveryStrategy::AbftRollback => 0.0,
+        };
+        for (name, x) in [
+            ("horizon_secs", self.horizon_secs),
+            ("restart_delay_secs", self.restart_delay_secs),
+            ("respawn_delay_secs", respawn_delay_secs),
+            ("retry timeout_secs", timeout_secs),
+            ("retry backoff", backoff),
+            ("retry max_delay_secs", max_delay_secs),
+        ] {
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!(
+                    "fault spec {name} {x} is not finite and non-negative"
+                ));
+            }
+        }
+        if self.sdc_threshold.is_nan() {
+            return Err("fault spec sdc_threshold is NaN".to_string());
+        }
+        Ok(())
     }
 }
 

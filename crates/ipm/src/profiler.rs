@@ -3,9 +3,8 @@
 //! framework collects on real runs (hash of MPI calls by size bucket,
 //! per-region wallclock, communication and compute split).
 
-use sim_des::SimTime;
+use sim_des::{FxHashMap, SimTime};
 use sim_mpi::{JobMeta, MpiKind, ProfEvent, ProfSink, SectionId};
-use std::collections::HashMap;
 
 /// Aggregate for one (MPI call, size bucket) cell — IPM's call hash.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -40,7 +39,7 @@ pub struct Ledger {
     /// Silent corruptions that escaped detection in this region.
     pub sdc_undetected: u64,
     /// MPI call hash: (call, log2-size bucket) → aggregate.
-    pub calls: HashMap<(MpiKind, u8), CallAgg>,
+    pub calls: FxHashMap<(MpiKind, u8), CallAgg>,
 }
 
 impl Ledger {

@@ -1,9 +1,8 @@
 //! IPM-style reports: cross-rank aggregation and the text banner.
 
 use crate::profiler::{bucket_floor, CallAgg, IpmProfiler};
-use sim_des::Summary;
+use sim_des::{FxHashMap, Summary};
 use sim_mpi::MpiKind;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Cross-rank statistics for one region (a named section or the whole run).
@@ -30,7 +29,7 @@ pub struct SectionReport {
     pub sdc_detected: u64,
     /// Silent corruptions that escaped detection, summed over ranks.
     pub sdc_undetected: u64,
-    /// MPI call table, sorted by time descending.
+    /// MPI call table, sorted by time descending, then by call and bucket.
     pub calls: Vec<CallRow>,
 }
 
@@ -266,7 +265,7 @@ fn section_report(name: &str, ledgers: Vec<&crate::profiler::Ledger>) -> Section
     let shrinks: Vec<f64> = ledgers.iter().map(|l| l.shrink).collect();
     let sdc_detected: u64 = ledgers.iter().map(|l| l.sdc_detected).sum();
     let sdc_undetected: u64 = ledgers.iter().map(|l| l.sdc_undetected).sum();
-    let mut merged: HashMap<(MpiKind, u8), CallAgg> = HashMap::new();
+    let mut merged: FxHashMap<(MpiKind, u8), CallAgg> = FxHashMap::default();
     for l in &ledgers {
         for (k, v) in &l.calls {
             let e = merged.entry(*k).or_default();
@@ -284,7 +283,14 @@ fn section_report(name: &str, ledgers: Vec<&crate::profiler::Ledger>) -> Section
             time: agg.time,
         })
         .collect();
-    calls.sort_by(|a, b| b.time.partial_cmp(&a.time).expect("finite times"));
+    // A total order, so rows with equal times do not come out in hash order.
+    calls.sort_by(|a, b| {
+        b.time
+            .partial_cmp(&a.time)
+            .expect("finite times")
+            .then(a.call.cmp(&b.call))
+            .then(a.bucket_bytes.cmp(&b.bucket_bytes))
+    });
     SectionReport {
         name: name.to_string(),
         wall: Summary::of(&walls).expect("at least one rank"),
@@ -377,6 +383,67 @@ mod tests {
             .expect("allreduce row");
         assert_eq!(row.count, 8); // one per rank
         assert_eq!(row.bucket_bytes, 4);
+    }
+
+    #[test]
+    fn equal_time_call_rows_render_in_one_order() {
+        use crate::profiler::Ledger;
+        // Sixteen rows with one time, inserted in opposite orders into
+        // maps of different capacities, so the maps iterate differently.
+        let keys: Vec<(MpiKind, u8)> = [
+            MpiKind::Send,
+            MpiKind::Recv,
+            MpiKind::Sendrecv,
+            MpiKind::Barrier,
+            MpiKind::Bcast,
+            MpiKind::Allreduce,
+            MpiKind::Alltoall,
+            MpiKind::Gather,
+        ]
+        .into_iter()
+        .flat_map(|k| [(k, 4), (k, 12)])
+        .collect();
+        let ledger = |keys: Vec<(MpiKind, u8)>, cap: usize| {
+            let mut calls = FxHashMap::with_capacity_and_hasher(cap, Default::default());
+            for k in keys {
+                let agg = CallAgg {
+                    count: 1,
+                    time: 0.25,
+                    bytes: 8,
+                };
+                calls.insert(k, agg);
+            }
+            Ledger {
+                wall: 4.0,
+                comm: 4.0,
+                calls,
+                ..Default::default()
+            }
+        };
+        let render = |l: &Ledger| {
+            IpmReport {
+                job: "ties".into(),
+                cluster: "none".into(),
+                np: 1,
+                elapsed: 4.0,
+                global: section_report("<global>", vec![l]),
+                sections: vec![],
+                rank_breakdown: vec![],
+                section_rank_breakdown: vec![],
+            }
+            .to_text()
+        };
+        let fwd = ledger(keys.clone(), 0);
+        let rev = ledger(keys.iter().rev().copied().collect(), 256);
+        assert_eq!(render(&fwd), render(&rev));
+        let rows: Vec<(MpiKind, u64)> = section_report("<global>", vec![&rev])
+            .calls
+            .iter()
+            .map(|c| (c.call, c.bucket_bytes))
+            .collect();
+        let mut sorted = rows.clone();
+        sorted.sort();
+        assert_eq!(rows, sorted);
     }
 
     #[test]

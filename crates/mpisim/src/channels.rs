@@ -2,18 +2,36 @@
 //!
 //! The engine's inner loop matches point-to-point traffic on
 //! `(source, dest, tag)` channels and synchronizes barriers keyed by a
-//! sequence number. Both used to live in `std` `HashMap`s, which meant a
-//! SipHash invocation per op on the hottest path in the simulator. These
-//! replacements exploit what a general map cannot: one side of every
-//! channel key is a *rank index*, dense in `0..np`, so the first lookup
-//! level is an array index; and the set of distinct `(peer, tag)` pairs a
-//! single rank ever matches on is tiny (a handful of neighbours × a
-//! handful of tags), so the second level is a linear scan over a short
-//! `Vec` — faster than any hash for these sizes, and with fully
-//! deterministic iteration order as a bonus.
+//! sequence number. One side of every channel key is a *rank index*,
+//! dense in `0..np`, so the first lookup level is an array index. The
+//! second level, keyed by `(peer, tag)`, is an Fx-hashed map: one
+//! multiply-rotate hash per lookup, whatever the number of channels.
+//!
+//! A linear scan over a short `Vec` would win if every rank matched on a
+//! handful of neighbours × a handful of tags, and most workloads do. NPB
+//! LU does not: it rotates its tag base every iteration, so an LU rank
+//! matches on up to 128 `(peer, tag)` channels, and the scan took over a
+//! third of LU's engine time. Largest channel count of any one rank at the
+//! end of a run, and the total over all ranks:
+//!
+//! | Workload                                   | Per rank (largest) | Total  |
+//! |--------------------------------------------|--------------------|--------|
+//! | LU.W@64, LU.S@64                           | 128 eager          | 7,168  |
+//! | LU.S@16                                    | 128 eager          | 1,536  |
+//! | MG.S@64                                    | 24 exchange        | 768    |
+//! | MG.S@16                                    | 16 exchange        | 128    |
+//! | CG.S@1024                                  | 6 exchange         | 3,056  |
+//! | MetUM (2/4 steps, 16/64 ranks), Chaste@16  | 4 exchange         | 32–176 |
+//! | CG.S@16                                    | 3 exchange         | 22     |
+//! | BT.S, SP.S (16 and 64 ranks)               | 3 eager            | 48–192 |
+//! | EP, FT, IS, OSU allreduce                  | 0                  | 0      |
+//!
+//! No workload posts an `Irecv`. Matching never iterates a map, so hash
+//! order cannot reach a result; FIFO order within each channel is the
+//! `VecDeque`'s.
 
 use crate::op::{Rank, Tag};
-use sim_des::SimTime;
+use sim_des::{FxHashMap, SimTime};
 use std::collections::VecDeque;
 
 /// Per-channel FIFO queues, indexed by an owning rank and then by
@@ -22,62 +40,31 @@ use std::collections::VecDeque;
 /// lower rank of the pair for exchanges.
 #[derive(Debug)]
 pub struct ChannelTable<T> {
-    slots: Vec<Vec<Channel<T>>>,
-}
-
-#[derive(Debug)]
-struct Channel<T> {
-    peer: Rank,
-    tag: Tag,
-    q: VecDeque<T>,
+    slots: Vec<FxHashMap<(Rank, Tag), VecDeque<T>>>,
 }
 
 impl<T> ChannelTable<T> {
     /// A table for `np` owning ranks, all channels empty.
     pub fn new(np: usize) -> Self {
         ChannelTable {
-            slots: (0..np).map(|_| Vec::new()).collect(),
+            slots: (0..np).map(|_| FxHashMap::default()).collect(),
         }
     }
 
     /// The FIFO for `(owner, peer, tag)`, created empty if absent.
     pub fn queue_mut(&mut self, owner: usize, peer: Rank, tag: Tag) -> &mut VecDeque<T> {
-        let chans = &mut self.slots[owner];
-        // Split the find from the push to satisfy the borrow checker
-        // without a second scan on the hit path.
-        if let Some(i) = chans.iter().position(|c| c.peer == peer && c.tag == tag) {
-            return &mut chans[i].q;
-        }
-        chans.push(Channel {
-            peer,
-            tag,
-            q: VecDeque::new(),
-        });
-        &mut chans.last_mut().expect("just pushed").q
+        self.slots[owner].entry((peer, tag)).or_default()
     }
 
     /// The FIFO for `(owner, peer, tag)` if it was ever created.
     pub fn get_mut(&mut self, owner: usize, peer: Rank, tag: Tag) -> Option<&mut VecDeque<T>> {
-        self.slots[owner]
-            .iter_mut()
-            .find(|c| c.peer == peer && c.tag == tag)
-            .map(|c| &mut c.q)
-    }
-
-    /// Whether the FIFO for `(owner, peer, tag)` is absent or empty.
-    pub fn is_empty_channel(&self, owner: usize, peer: Rank, tag: Tag) -> bool {
-        self.slots[owner]
-            .iter()
-            .find(|c| c.peer == peer && c.tag == tag)
-            .is_none_or(|c| c.q.is_empty())
+        self.slots[owner].get_mut(&(peer, tag))
     }
 
     /// Drop every queued item, keeping channel allocations for reuse.
     pub fn clear(&mut self) {
         for chans in &mut self.slots {
-            for c in chans {
-                c.q.clear();
-            }
+            chans.values_mut().for_each(VecDeque::clear);
         }
     }
 
@@ -85,7 +72,7 @@ impl<T> ChannelTable<T> {
     pub fn all_empty(&self) -> bool {
         self.slots
             .iter()
-            .all(|chans| chans.iter().all(|c| c.q.is_empty()))
+            .all(|chans| chans.values().all(VecDeque::is_empty))
     }
 }
 
@@ -145,15 +132,35 @@ mod tests {
     }
 
     #[test]
+    fn many_channels_per_owner_keep_per_key_fifo() {
+        // 16 peers x 8 tags: the 128 channels an LU rank matches on.
+        let mut t: ChannelTable<(Rank, Tag, u32)> = ChannelTable::new(2);
+        for round in 0..3 {
+            for peer in 0..16 {
+                for tag in (0..64).step_by(8) {
+                    t.queue_mut(1, peer, tag).push_back((peer, tag, round));
+                }
+            }
+        }
+        for peer in (0..16).rev() {
+            for tag in (0..64).step_by(8) {
+                let got: Vec<_> = t.get_mut(1, peer, tag).unwrap().drain(..).collect();
+                assert_eq!(got, [(peer, tag, 0), (peer, tag, 1), (peer, tag, 2)]);
+            }
+        }
+        assert!(t.all_empty());
+        assert!(t.get_mut(0, 0, 0).is_none());
+    }
+
+    #[test]
     fn empty_checks_cover_absent_and_drained() {
         let mut t: ChannelTable<u32> = ChannelTable::new(2);
-        assert!(t.is_empty_channel(0, 1, 0));
+        assert!(t.get_mut(0, 1, 0).is_none());
         assert!(t.all_empty());
         t.queue_mut(0, 1, 0).push_back(1);
-        assert!(!t.is_empty_channel(0, 1, 0));
         assert!(!t.all_empty());
         t.clear();
-        assert!(t.is_empty_channel(0, 1, 0));
+        assert!(t.get_mut(0, 1, 0).is_some_and(|q| q.is_empty()));
         assert!(t.all_empty());
     }
 

@@ -81,7 +81,9 @@ pub struct SimConfig {
     pub validate: bool,
     /// Optional fault injection. `None` (the default) and a spec whose
     /// schedule generates no windows are both exact no-ops: the run is
-    /// bit-identical to a fault-free one.
+    /// bit-identical to a fault-free one. A spec that fails
+    /// [`FaultSpec::validate`] is a [`SimError::Validation`], even with
+    /// `validate: false`.
     pub faults: Option<FaultSpec>,
     /// Optional co-tenant load sharing this job's inter-node links (set by
     /// the cluster scheduler when jobs overlap on a switch or uplink).
@@ -324,6 +326,12 @@ pub fn run_job(
 ) -> Result<SimResult, SimError> {
     if cfg.validate {
         job.validate().map_err(SimError::Validation)?;
+    }
+    // Always checked: an infinite rate would never stop generating fault
+    // windows, and a NaN rate or an infinite horizon would silently mean
+    // none.
+    if let Some(spec) = &cfg.faults {
+        spec.validate().map_err(SimError::Validation)?;
     }
     let np = job.np();
     if np == 0 {
@@ -1375,23 +1383,22 @@ impl<'a> Engine<'a> {
                 return;
             }
         }
-        if let Status::BlockedRecv {
-            from,
-            tag: rtag,
-            posted,
-            ..
-        } = self.ranks[dr].status
-        {
-            if from == s && rtag == tag {
-                // Channel FIFO: the blocked recv must take the oldest queued
-                // message; only complete directly if the queue is empty.
-                if self.eager.is_empty_channel(dr, s, tag) {
-                    self.complete_recv(dr, posted, msg, sink);
-                    return;
-                }
-            }
+        let blocked_since = match self.ranks[dr].status {
+            Status::BlockedRecv {
+                from,
+                tag: rtag,
+                posted,
+                ..
+            } if from == s && rtag == tag => Some(posted),
+            _ => None,
+        };
+        let q = self.eager.queue_mut(dr, s, tag);
+        match blocked_since {
+            // Channel FIFO: the blocked recv must take the oldest queued
+            // message; only complete directly if the queue is empty.
+            Some(posted) if q.is_empty() => self.complete_recv(dr, posted, msg, sink),
+            _ => q.push_back(msg),
         }
-        self.eager.queue_mut(dr, s, tag).push_back(msg);
     }
 
     fn complete_recv(&mut self, d: usize, posted: SimTime, msg: EagerMsg, sink: &mut dyn ProfSink) {
@@ -1598,11 +1605,8 @@ impl<'a> Engine<'a> {
         let entry = self.ranks[r].clock;
         let lo = (r.min(partner)) as Rank;
         let hi = (r.max(partner)) as Rank;
-        if let Some(other) = self
-            .exchanges
-            .get_mut(lo as usize, hi, tag)
-            .and_then(|q| q.pop_front())
-        {
+        let q = self.exchanges.queue_mut(lo as usize, hi, tag);
+        if let Some(other) = q.pop_front() {
             // Both halves present: complete the exchange.
             let o = other.rank as usize;
             if o != partner {
@@ -1681,13 +1685,11 @@ impl<'a> Engine<'a> {
                 self.push_ready(who);
             }
         } else {
-            self.exchanges
-                .queue_mut(lo as usize, hi, tag)
-                .push_back(ExchangeArrival {
-                    rank: r as Rank,
-                    entry,
-                    send_bytes,
-                });
+            q.push_back(ExchangeArrival {
+                rank: r as Rank,
+                entry,
+                send_bytes,
+            });
             self.ranks[r].status = Status::BlockedExchange { posted: entry };
         }
         Ok(())
@@ -2363,6 +2365,165 @@ mod engine_tests {
         assert_eq!(gated.restarts, 0);
         for (a, b) in plain.ranks.iter().zip(&gated.ranks) {
             assert_eq!(a, b);
+        }
+    }
+
+    /// Whether `run_job` rejects `spec` as a validation error. No spec the
+    /// fault-validation tests pass pairs an infinite rate with a positive
+    /// horizon, so each also terminates unvalidated, and a broken check
+    /// fails these tests instead of hanging.
+    fn rejects_fault_spec(spec: sim_faults::FaultSpec) -> bool {
+        let cfg = SimConfig {
+            faults: Some(spec),
+            ..Default::default()
+        };
+        let r = run_job(
+            &mut job(vec![compute_block(2, 1e8)]),
+            &presets::vayu(),
+            &cfg,
+            &mut NullSink,
+        );
+        matches!(r, Err(SimError::Validation(_)))
+    }
+
+    fn crashy_spec(horizon_secs: f64) -> sim_faults::FaultSpec {
+        use sim_faults::{FaultModel, FaultSpec, RetryPolicy};
+        FaultSpec {
+            model: FaultModel {
+                crash_per_node_hour: 1.0,
+                crash_mean_secs: 1.0,
+                scale: 1.0,
+                ..FaultModel::none()
+            },
+            retry: RetryPolicy::default(),
+            restart_delay_secs: 1.0,
+            horizon_secs,
+            recovery: Default::default(),
+            sdc_threshold: 0.01,
+        }
+    }
+
+    #[test]
+    fn infinite_or_negative_fault_rates_are_rejected() {
+        use sim_faults::FaultModel;
+        // Over a zero horizon, so an unchecked infinite rate (zero gaps)
+        // would still stop at once.
+        let base = crashy_spec(0.0);
+        assert!(!rejects_fault_spec(base.clone()));
+        for model in [
+            FaultModel {
+                crash_per_node_hour: -1.0,
+                ..base.model.clone()
+            },
+            FaultModel {
+                scale: FaultModel::MAX_SCALE + 1.0,
+                ..base.model.clone()
+            },
+            FaultModel {
+                crash_per_node_hour: f64::INFINITY,
+                ..base.model.clone()
+            },
+            FaultModel {
+                crash_mean_secs: f64::INFINITY,
+                ..base.model.clone()
+            },
+        ] {
+            let spec = sim_faults::FaultSpec {
+                model,
+                ..base.clone()
+            };
+            assert!(rejects_fault_spec(spec.clone()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn nan_fault_rates_are_rejected() {
+        use sim_faults::FaultModel;
+        // Unchecked, a NaN rate ends the draw at once: silently no faults.
+        let base = crashy_spec(3600.0);
+        assert!(!rejects_fault_spec(base.clone()));
+        for model in [
+            FaultModel {
+                crash_per_node_hour: f64::NAN,
+                ..base.model.clone()
+            },
+            FaultModel {
+                scale: f64::NAN,
+                ..base.model.clone()
+            },
+        ] {
+            let spec = sim_faults::FaultSpec {
+                model,
+                ..base.clone()
+            };
+            assert!(rejects_fault_spec(spec.clone()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn unbounded_or_negative_fault_horizons_are_rejected() {
+        use sim_faults::{FaultModel, FaultSpec};
+        // A negative horizon draws nothing unchecked. The non-finite ones
+        // use a null model, so an unchecked run never depends on how
+        // `SimDur` converts them.
+        assert!(rejects_fault_spec(crashy_spec(-1.0)));
+        for horizon_secs in [f64::INFINITY, f64::NAN] {
+            let spec = FaultSpec {
+                model: FaultModel::none(),
+                ..crashy_spec(horizon_secs)
+            };
+            assert!(rejects_fault_spec(spec.clone()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn bad_fault_spec_knobs_are_rejected() {
+        use sim_faults::{FaultModel, FaultSpec, RecoveryStrategy, RetryPolicy};
+        let base = FaultSpec {
+            model: FaultModel::none(),
+            ..crashy_spec(3600.0)
+        };
+        // An infinite threshold is legal: no corruption is ever detected.
+        assert!(!rejects_fault_spec(FaultSpec {
+            sdc_threshold: f64::INFINITY,
+            ..base.clone()
+        }));
+        let retry = |r: RetryPolicy| FaultSpec {
+            retry: r,
+            ..base.clone()
+        };
+        let dflt = RetryPolicy::default();
+        for spec in [
+            FaultSpec {
+                restart_delay_secs: -1.0,
+                ..base.clone()
+            },
+            FaultSpec {
+                restart_delay_secs: f64::INFINITY,
+                ..base.clone()
+            },
+            FaultSpec {
+                sdc_threshold: f64::NAN,
+                ..base.clone()
+            },
+            base.clone().with_recovery(RecoveryStrategy::ShrinkSpare {
+                spares: 1,
+                respawn_delay_secs: -1.0,
+            }),
+            retry(RetryPolicy {
+                timeout_secs: -1.0,
+                ..dflt
+            }),
+            retry(RetryPolicy {
+                backoff: f64::NAN,
+                ..dflt
+            }),
+            retry(RetryPolicy {
+                max_delay_secs: f64::INFINITY,
+                ..dflt
+            }),
+        ] {
+            assert!(rejects_fault_spec(spec.clone()), "{spec:?}");
         }
     }
 

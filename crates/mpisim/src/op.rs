@@ -692,19 +692,19 @@ impl JobSpec {
         if self.validated {
             return Ok(());
         }
-        use std::collections::HashMap;
+        use sim_des::{FxHashMap, FxHashSet};
         let np = self.meta.np as u32;
         let n_sections = self.meta.section_names.len();
-        let mut sends: HashMap<(u32, u32, Tag), usize> = HashMap::new();
-        let mut recvs: HashMap<(u32, u32, Tag), usize> = HashMap::new();
-        let mut exchanges: HashMap<(u32, u32, Tag), i64> = HashMap::new();
+        let mut sends: FxHashMap<(u32, u32, Tag), usize> = FxHashMap::default();
+        let mut recvs: FxHashMap<(u32, u32, Tag), usize> = FxHashMap::default();
+        let mut exchanges: FxHashMap<(u32, u32, Tag), i64> = FxHashMap::default();
         let mut coll_seqs: Vec<Vec<(&'static str, Group, &'static str)>> =
             Vec::with_capacity(self.sources.len());
         for (r, source) in self.sources.iter_mut().enumerate() {
             let r = r as u32;
             let mut colls: Vec<(&str, Group, &str)> = Vec::new();
             let mut depth: i32 = 0;
-            let mut open_reqs: std::collections::HashSet<u32> = Default::default();
+            let mut open_reqs: FxHashSet<u32> = Default::default();
             source.rewind();
             while let Some(op) = source.next_op() {
                 match &op {
@@ -840,10 +840,9 @@ impl JobSpec {
             }
         }
         // Per communicator, every member must issue the same sequence.
-        use std::collections::HashMap as Map;
-        let mut by_group: Map<Group, Vec<(u32, Vec<&str>)>> = Map::new();
+        let mut by_group: FxHashMap<Group, Vec<(u32, Vec<&str>)>> = FxHashMap::default();
         for (r, seq) in coll_seqs.iter().enumerate() {
-            let mut per_rank: Map<Group, Vec<&str>> = Map::new();
+            let mut per_rank: FxHashMap<Group, Vec<&str>> = FxHashMap::default();
             for (_, g, name) in seq.iter() {
                 per_rank.entry(*g).or_default().push(name);
             }

@@ -9,7 +9,8 @@ use crate::op::SectionId;
 use sim_des::SimTime;
 
 /// Category of a timed MPI activity, mirroring the call names IPM reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered by declaration, which breaks ties in IPM's call table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MpiKind {
     Send,
     Recv,

@@ -1458,9 +1458,10 @@ fn increases(a: f64, b: f64) -> bool {
 
 /// Reject a malformed site configuration: inverted or out-of-pool
 /// maintenance windows, zero-node or inverted quotas, and a fault feed
-/// with a NaN, infinite or negative model field, a scale above
-/// [`FaultModel::MAX_SCALE`], a non-finite or negative checkpoint
-/// interval or restore cost, or a non-finite repair time or horizon.
+/// whose model fails [`FaultModel::validate`] (a NaN, infinite or
+/// negative field, a scale above [`FaultModel::MAX_SCALE`]), with a
+/// non-finite or negative checkpoint interval or restore cost, or with a
+/// non-finite repair time or horizon.
 pub(crate) fn validate_config(cfg: &SiteConfig) -> Result<(), SchedError> {
     let pool_nodes = cfg.pool.nodes();
     for m in &cfg.calendar {
@@ -1498,29 +1499,16 @@ pub(crate) fn validate_config(cfg: &SiteConfig) -> Result<(), SchedError> {
         }
     }
     if let Some(f) = &cfg.faults {
-        let bad = |reason: String| Err(SchedError::InvalidConfig { reason });
-        // A NaN or negative rate would silently mean "no faults", and an
-        // infinite one would draw zero-length gaps forever.
-        let fields = f.model.numeric_fields();
-        if let Some((name, x)) = fields.iter().find(|(_, x)| !x.is_finite() || *x < 0.0) {
-            return bad(format!(
-                "fault model {name} {x} is not finite and non-negative"
-            ));
-        }
-        if f.model.scale > FaultModel::MAX_SCALE {
-            return bad(format!(
-                "fault scale {} is above {}",
-                f.model.scale,
-                FaultModel::MAX_SCALE
-            ));
-        }
+        f.model
+            .validate()
+            .map_err(|reason| SchedError::InvalidConfig { reason })?;
         // A NaN restore cost would make a requeued rerun owe `EPS` seconds.
         if let Some(ck) = f.requeue.checkpoint {
             for (name, x) in [("interval", ck.interval), ("restore cost", ck.restore_cost)] {
                 if !x.is_finite() || x < 0.0 {
-                    return bad(format!(
-                        "checkpoint {name} {x} is not finite and non-negative"
-                    ));
+                    return Err(SchedError::InvalidConfig {
+                        reason: format!("checkpoint {name} {x} is not finite and non-negative"),
+                    });
                 }
             }
         }
