@@ -262,7 +262,7 @@ struct Admission<'a> {
 }
 
 impl Admission<'_> {
-    fn site_for(&mut self, j: &BurstJob, states: &[SiteState]) -> usize {
+    fn site_for(&mut self, now: f64, j: &BurstJob, states: &[SiteState]) -> usize {
         let (threshold, max_dollars) = match self.policy {
             BurstPolicy::HpcOnly => return 0,
             BurstPolicy::CloudBurst { threshold } => (threshold, f64::INFINITY),
@@ -271,11 +271,11 @@ impl Admission<'_> {
                 max_dollars,
             } => (threshold, max_dollars),
         };
-        let home_busy = states[0].pool.free_count() < j.nodes || !states[0].queue.is_empty();
+        let home_busy = states[0].free_at(now) < j.nodes || !states[0].queue.is_empty();
         let mut best: Option<usize> = None;
         if home_busy && j.friendliness >= threshold {
             for (cand, st) in states.iter().enumerate().skip(1) {
-                if st.pool.free_count() >= j.nodes && st.queue.is_empty() {
+                if st.free_at(now) >= j.nodes && st.queue.is_empty() {
                     let cost = self.sites[cand].price.spot_cost(j.nodes, j.runtime[cand]);
                     if cost <= max_dollars && best.is_none_or(|b| j.runtime[cand] < j.runtime[b]) {
                         best = Some(cand);
@@ -296,7 +296,7 @@ impl JobSource for Admission<'_> {
     fn admit(&mut self, now: f64, states: &mut [SiteState]) -> Result<usize, SchedError> {
         let i = self.arrivals.take();
         let jobs = self.jobs;
-        let site = self.site_for(&jobs[i], states);
+        let site = self.site_for(now, &jobs[i], states);
         states[site].advance(now);
         states[site].submit(i);
         Ok(site)

@@ -142,7 +142,9 @@ pub(crate) fn configure(cfg: &SiteConfig) -> (SiteState, Vec<(f64, Ev)>) {
     (st, statics)
 }
 
-/// Run `sites` until the source is dry and every event has fired.
+/// Run `sites` until the source is dry and every event has fired. A job
+/// still queued or gated then can never start: that is
+/// [`SchedError::Stranded`], not a silent end of the run.
 pub(crate) fn run(
     sites: &mut [SiteState],
     statics: Vec<(f64, Ev)>,
@@ -163,7 +165,12 @@ pub(crate) fn run(
             }
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => return Ok(()),
+            (None, None) => {
+                return match sites.iter().find_map(SiteState::stranded) {
+                    Some(job) => Err(SchedError::Stranded { job }),
+                    None => Ok(()),
+                }
+            }
         };
         let (now, site) = if arrival {
             let now = source.peek().expect("checked above").as_secs_f64();
@@ -279,7 +286,7 @@ fn pass(
         sink.depart(site, st, job, o);
     }
     st.heal(now);
-    st.start_due_advance(now)?;
+    st.start_due_advance(now);
     st.try_start(now)?;
     st.recompute_rates();
     st.wake_gen += 1;

@@ -9,7 +9,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedError {
     /// Raw capacity admits the request but the placement policy cannot
-    /// satisfy it from the current free set (fragmentation).
+    /// satisfy it from the candidate nodes it was given (fragmentation).
+    /// The engine only places a job once [`crate::NodePool::feasible`]
+    /// admits its candidates, so the entry points do not return it.
     PlacementUnsatisfiable {
         need: usize,
         policy: &'static str,
@@ -27,6 +29,10 @@ pub enum SchedError {
     ReservationUnsatisfiable { job: usize, at: f64 },
     /// The dependency edges contain a cycle through this job.
     DependencyCycle { job: usize },
+    /// The run's events were exhausted while this job (the caller's
+    /// [`crate::SchedJob::id`]) was still queued or gated: nothing left
+    /// could ever start it.
+    Stranded { job: usize },
     /// A malformed job specification (bad shape, bad dependency index,
     /// reservation before submission, ...).
     InvalidJob { job: usize, reason: String },
@@ -57,6 +63,10 @@ impl fmt::Display for SchedError {
             SchedError::DependencyCycle { job } => {
                 write!(f, "dependency cycle through job {job}")
             }
+            SchedError::Stranded { job } => write!(
+                f,
+                "job {job} is stranded: no event is left that could start it"
+            ),
             SchedError::InvalidJob { job, reason } => write!(f, "job {job}: {reason}"),
             SchedError::InvalidConfig { reason } => write!(f, "site config: {reason}"),
         }

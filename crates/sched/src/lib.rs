@@ -4,11 +4,13 @@
 //! stream of jobs is scheduled onto a shared node pool per platform with
 //!
 //! * **a slot-set core** — time is a sorted list of contiguous slots, each
-//!   holding the available [`ProcSet`] over the site's hierarchical
-//!   resource tree ([`hierarchy::Hierarchy`]: site → rack → node → core);
-//!   every scheduling decision is interval intersection and slot
-//!   split/merge ([`slot::SlotSet`]). The tests pin it to a brute-force
-//!   reference scheduler that shares none of its code;
+//!   holding the available [`ProcSet`] of node ids; the slot set
+//!   ([`slot::SlotSet`]) is the only record of which nodes are free when,
+//!   and every scheduling decision is interval intersection and slot
+//!   split/merge over it. The site itself is a static rack map
+//!   ([`NodePool`]: site → rack → node) that placement policies pick
+//!   from. The tests pin the core to a brute-force reference scheduler
+//!   that shares none of its code;
 //! * **queue disciplines** — FCFS, EASY backfill and conservative
 //!   backfill ([`Discipline`], [`simulate_site`]), with walltime estimates
 //!   and the EASY invariant (backfilled jobs do not delay the queue head's
@@ -39,7 +41,6 @@ pub(crate) mod arena;
 pub mod burst;
 mod driver;
 pub mod error;
-pub mod hierarchy;
 pub mod job;
 pub mod pool;
 pub mod pricing;
@@ -52,7 +53,6 @@ pub use burst::{
     PreemptSpec,
 };
 pub use error::SchedError;
-pub use hierarchy::Hierarchy;
 pub use job::{lublin_burst_mix, lublin_mix, JobShape, LublinMix, SchedJob};
 pub use pool::{share_links, NodePool, PlacementPolicy};
 pub use pricing::PriceModel;

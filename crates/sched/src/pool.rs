@@ -1,20 +1,25 @@
-//! The shared node pool: racks, free sets and placement policies.
+//! The site's static rack map and its placement policies.
 //!
 //! Rack structure comes from the platform's interconnect topology
 //! ([`sim_net::Shape`]): a fat tree's leaf radix partitions nodes into
-//! racks behind shared uplinks; a single switch is one big rack. The pool
-//! is a thin stateful wrapper over a [`Hierarchy`] and a free
-//! [`ProcSet`]; placement decides which free nodes a job gets, which in
-//! turn decides which jobs share links — and therefore who pays
-//! contention (see [`crate::site`]).
+//! racks behind shared uplinks; a single switch is one big rack. A
+//! [`ProcSet`] id is a node index.
+//!
+//! The pool holds no availability. The slot set ([`crate::slot::SlotSet`])
+//! is the scheduler's only record of which nodes are free when; a
+//! placement policy chooses concrete nodes *from a `ProcSet`* of
+//! candidates the slot-set engine hands it (the availability intersected
+//! over the job's whole window), so a choice made now can never collide
+//! with a maintenance window or a pinned reservation later. Placement
+//! decides which jobs share links, and therefore who pays contention
+//! (see [`crate::site`]).
 
 use crate::error::SchedError;
-use crate::hierarchy::Hierarchy;
 use crate::slot::ProcSet;
 use sim_net::topology::Shape;
 use sim_platform::ClusterSpec;
 
-/// How a job's nodes are chosen from the free pool.
+/// How a job's nodes are chosen from its candidate nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Lowest-numbered free nodes first. Dense, cache-friendly for the
@@ -44,35 +49,20 @@ impl PlacementPolicy {
     }
 }
 
-/// A pool of identical nodes grouped into racks of `rack_size`.
-#[derive(Debug, Clone)]
+/// The static shape of one site: `nodes` identical nodes in racks of
+/// `rack_size` (the final rack may be ragged).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePool {
-    hier: Hierarchy,
-    free: ProcSet,
+    nodes: usize,
+    rack_size: usize,
 }
 
 impl NodePool {
     pub fn new(nodes: usize, rack_size: usize) -> NodePool {
-        let hier = Hierarchy::new(nodes.max(1), rack_size.max(1), 1);
-        let free = hier.site();
-        NodePool { hier, free }
-    }
-
-    /// Derive the pool from a platform preset: fat-tree leaf radix =
-    /// rack size; a single switch is one rack. Cores per node ride along
-    /// from the node spec so the hierarchy's leaf level is real.
-    pub fn from_cluster(cluster: &ClusterSpec) -> NodePool {
-        let rack_size = match cluster.topology.shape {
-            Shape::SingleSwitch => cluster.nodes.max(1),
-            Shape::FatTree { radix, .. } => radix.max(1),
-        };
-        let hier = Hierarchy::new(
-            cluster.nodes.max(1),
-            rack_size,
-            cluster.node.logical_cores().max(1),
-        );
-        let free = hier.site();
-        NodePool { hier, free }
+        NodePool {
+            nodes: nodes.max(1),
+            rack_size: rack_size.max(1),
+        }
     }
 
     /// A modeled partition of `nodes` nodes with the cluster's rack
@@ -82,68 +72,194 @@ impl NodePool {
     /// platform's topology *character*.
     pub fn partition_of(cluster: &ClusterSpec, nodes: usize) -> NodePool {
         let rack_size = match cluster.topology.shape {
-            Shape::SingleSwitch => nodes.max(1),
-            Shape::FatTree { radix, .. } => radix.max(1),
+            Shape::SingleSwitch => nodes,
+            Shape::FatTree { radix, .. } => radix,
         };
-        let hier = Hierarchy::new(nodes.max(1), rack_size, cluster.node.logical_cores().max(1));
-        let free = hier.site();
-        NodePool { hier, free }
-    }
-
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hier
+        NodePool::new(nodes, rack_size)
     }
 
     pub fn nodes(&self) -> usize {
-        self.hier.nodes()
+        self.nodes
     }
 
-    pub fn free_count(&self) -> usize {
-        self.free.len()
+    pub fn rack_size(&self) -> usize {
+        self.rack_size
+    }
+
+    /// The whole site as a proc set.
+    pub fn site(&self) -> ProcSet {
+        ProcSet::range(0, self.nodes - 1)
     }
 
     pub fn rack_of(&self, node: usize) -> usize {
-        self.hier.rack_of(node)
+        node / self.rack_size
     }
 
     pub fn n_racks(&self) -> usize {
-        self.hier.n_racks()
+        self.nodes.div_ceil(self.rack_size)
     }
 
-    /// Sorted, deduplicated rack ids spanned by a node set.
+    /// Physical width of rack `r` (the final rack may be ragged).
+    pub fn rack_capacity(&self, r: usize) -> usize {
+        (self.nodes - r * self.rack_size).min(self.rack_size)
+    }
+
+    /// The nodes of rack `r` as a proc set.
+    pub fn rack_set(&self, r: usize) -> ProcSet {
+        let lo = r * self.rack_size;
+        let hi = (lo + self.rack_size).min(self.nodes) - 1;
+        ProcSet::range(lo, hi)
+    }
+
+    /// Sorted, deduplicated rack ids spanned by a node list.
     pub fn racks_of(&self, nodes: &[usize]) -> Vec<usize> {
-        self.hier.racks_of(nodes)
+        let mut racks: Vec<usize> = nodes.iter().map(|&n| self.rack_of(n)).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        racks
     }
 
-    /// Allocate `n` free nodes under `policy`. For the preference-shaping
-    /// policies this succeeds whenever `free_count >= n`; `RackStrict` can
-    /// additionally fail on fragmentation, and every failure is a typed
-    /// [`SchedError`] instead of a panic in the caller.
-    pub fn alloc(&mut self, n: usize, policy: PlacementPolicy) -> Result<Vec<usize>, SchedError> {
-        let candidates = self.free.clone();
-        self.alloc_from(n, policy, &candidates)
+    /// Whether `policy` can carve `n` nodes out of `avail` at all. For the
+    /// preference-shaping policies this is just `avail.len() >= n`; only
+    /// [`PlacementPolicy::RackStrict`] turns preference into feasibility
+    /// (the job must fit inside one rack's available nodes).
+    pub fn feasible(&self, avail: &ProcSet, n: usize, policy: PlacementPolicy) -> bool {
+        if n == 0 || avail.len() < n {
+            return n == 0;
+        }
+        match policy {
+            PlacementPolicy::RackStrict => {
+                (0..self.n_racks()).any(|r| avail.intersect(&self.rack_set(r)).len() >= n)
+            }
+            _ => true,
+        }
     }
 
-    /// Allocate `n` nodes under `policy`, restricted to `candidates` — the
-    /// slot-set engine passes the hard availability intersected over the
-    /// job's whole window here. `candidates` not currently free are
-    /// ignored.
-    pub fn alloc_from(
-        &mut self,
+    /// Choose `n` nodes from `avail` under `policy`. Preference orders are
+    /// byte-identical to the historical free-list pickers; only
+    /// `RackStrict` can fail when `avail.len() >= n` (fragmentation), and
+    /// then it fails typed instead of panicking.
+    pub fn select(
+        &self,
+        avail: &ProcSet,
         n: usize,
         policy: PlacementPolicy,
-        candidates: &ProcSet,
     ) -> Result<Vec<usize>, SchedError> {
-        let avail = self.free.intersect(candidates);
-        let picked = self.hier.select(&avail, n, policy)?;
-        self.free = self.free.difference(&ProcSet::from_ids(&picked));
+        if n == 0 || n > avail.len() {
+            return Err(SchedError::PlacementUnsatisfiable {
+                need: n,
+                policy: policy.name(),
+                free: avail.len(),
+            });
+        }
+        let picked = match policy {
+            PlacementPolicy::Packed => avail.iter().take(n).collect(),
+            PlacementPolicy::Scattered => self.pick_scattered(avail, n),
+            PlacementPolicy::RackAware => self.pick_rack_aware(avail, n),
+            PlacementPolicy::RackStrict => {
+                self.pick_rack_strict(avail, n)
+                    .ok_or(SchedError::PlacementUnsatisfiable {
+                        need: n,
+                        policy: policy.name(),
+                        free: avail.len(),
+                    })?
+            }
+        };
+        debug_assert_eq!(picked.len(), n);
         Ok(picked)
     }
 
-    pub fn release(&mut self, nodes: &[usize]) {
-        let released = ProcSet::from_ids(nodes);
-        debug_assert!(self.free.intersect(&released).is_empty());
-        self.free = self.free.union(&released);
+    fn pick_scattered(&self, avail: &ProcSet, n: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(n);
+        // Round-robin across racks: offset-major traversal takes at most
+        // one node per rack per sweep.
+        for offset in 0..self.rack_size {
+            for rack in 0..self.n_racks() {
+                let node = rack * self.rack_size + offset;
+                if node < self.nodes && avail.contains(node) {
+                    out.push(node);
+                    if out.len() == n {
+                        return out;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn free_per_rack(&self, avail: &ProcSet) -> Vec<usize> {
+        let mut free = vec![0usize; self.n_racks()];
+        for node in avail.iter() {
+            free[self.rack_of(node)] += 1;
+        }
+        free
+    }
+
+    fn pick_rack_aware(&self, avail: &ProcSet, n: usize) -> Vec<usize> {
+        let n_racks = self.n_racks();
+        let free_per_rack = self.free_per_rack(avail);
+        // An idle rack avoids leaf-switch co-tenancy entirely; failing
+        // that, best-fit into an occupied rack (the fullest one that still
+        // takes the whole job, keeping big holes intact for wide jobs).
+        let idle = (0..n_racks)
+            .filter(|&r| free_per_rack[r] >= n && free_per_rack[r] == self.rack_capacity(r))
+            .min_by_key(|&r| free_per_rack[r]);
+        let single = idle.or_else(|| {
+            (0..n_racks)
+                .filter(|&r| free_per_rack[r] >= n)
+                .min_by_key(|&r| free_per_rack[r])
+        });
+        let rack_order: Vec<usize> = match single {
+            Some(r) => {
+                let mut order = vec![r];
+                order.extend((0..n_racks).filter(|&x| x != r));
+                order
+            }
+            None => {
+                // Spill across the fewest racks: emptiest racks first.
+                let mut order: Vec<usize> = (0..n_racks).collect();
+                order.sort_by_key(|&r| std::cmp::Reverse(free_per_rack[r]));
+                order
+            }
+        };
+        let mut out = Vec::with_capacity(n);
+        for rack in rack_order {
+            let lo = rack * self.rack_size;
+            let hi = (lo + self.rack_size).min(self.nodes);
+            for node in lo..hi {
+                if avail.contains(node) {
+                    out.push(node);
+                    if out.len() == n {
+                        return out;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Single-rack-or-nothing: an idle rack that fits, else the best-fit
+    /// occupied rack. `None` when no single rack holds `n` available
+    /// nodes — the fragmentation case `RackAware` spills over and this
+    /// policy refuses.
+    fn pick_rack_strict(&self, avail: &ProcSet, n: usize) -> Option<Vec<usize>> {
+        let free_per_rack = self.free_per_rack(avail);
+        let n_racks = self.n_racks();
+        let idle = (0..n_racks)
+            .filter(|&r| free_per_rack[r] >= n && free_per_rack[r] == self.rack_capacity(r))
+            .min_by_key(|&r| free_per_rack[r]);
+        let rack = idle.or_else(|| {
+            (0..n_racks)
+                .filter(|&r| free_per_rack[r] >= n)
+                .min_by_key(|&r| free_per_rack[r])
+        })?;
+        Some(
+            avail
+                .intersect(&self.rack_set(rack))
+                .iter()
+                .take(n)
+                .collect(),
+        )
     }
 }
 
@@ -169,111 +285,124 @@ pub fn share_links(racks_a: &[usize], racks_b: &[usize]) -> bool {
 mod tests {
     use super::*;
 
+    /// Pick `n` nodes from `avail` and take them out of it, as a start
+    /// takes them out of the slot set.
+    fn take(p: &NodePool, avail: &mut ProcSet, n: usize, policy: PlacementPolicy) -> Vec<usize> {
+        let got = p.select(avail, n, policy).unwrap();
+        *avail = avail.difference(&ProcSet::from_ids(&got));
+        got
+    }
+
+    #[test]
+    fn rack_map_shape() {
+        let p = NodePool::new(13, 4);
+        assert_eq!(p.n_racks(), 4);
+        assert_eq!(p.rack_capacity(0), 4);
+        assert_eq!(p.rack_capacity(3), 1, "ragged final rack");
+        assert_eq!(p.rack_set(1), ProcSet::range(4, 7));
+        assert_eq!(p.site().len(), 13);
+        assert_eq!(p.racks_of(&[0, 5, 6, 12]), vec![0, 1, 3]);
+    }
+
     #[test]
     fn packed_fills_low_nodes() {
-        let mut p = NodePool::new(16, 4);
-        assert_eq!(p.alloc(3, PlacementPolicy::Packed).unwrap(), vec![0, 1, 2]);
-        assert_eq!(p.alloc(2, PlacementPolicy::Packed).unwrap(), vec![3, 4]);
-        assert_eq!(p.free_count(), 11);
+        let p = NodePool::new(16, 4);
+        let mut avail = p.site();
+        assert_eq!(take(&p, &mut avail, 3, PlacementPolicy::Packed), [0, 1, 2]);
+        assert_eq!(take(&p, &mut avail, 2, PlacementPolicy::Packed), [3, 4]);
     }
 
     #[test]
     fn scattered_spreads_one_per_rack_first() {
-        let mut p = NodePool::new(16, 4);
-        let got = p.alloc(4, PlacementPolicy::Scattered).unwrap();
+        let p = NodePool::new(16, 4);
+        let got = p.select(&p.site(), 4, PlacementPolicy::Scattered).unwrap();
         assert_eq!(got, vec![0, 4, 8, 12]);
         assert_eq!(p.racks_of(&got).len(), 4);
     }
 
     #[test]
     fn rack_aware_prefers_an_idle_rack() {
-        let mut p = NodePool::new(16, 4);
+        let p = NodePool::new(16, 4);
+        let mut avail = p.site();
         // Occupy half of rack 0: racks 1..3 are idle, rack 0 has a hole.
-        let first = p.alloc(2, PlacementPolicy::Packed).unwrap();
-        let got = p.alloc(3, PlacementPolicy::RackAware).unwrap();
+        take(&p, &mut avail, 2, PlacementPolicy::Packed);
+        let got = take(&p, &mut avail, 3, PlacementPolicy::RackAware);
         assert_eq!(p.racks_of(&got), vec![1]);
         // The next small job avoids both occupied racks: fresh leaf switch.
-        let small = p.alloc(2, PlacementPolicy::RackAware).unwrap();
+        let small = take(&p, &mut avail, 2, PlacementPolicy::RackAware);
         assert_eq!(p.racks_of(&small), vec![2]);
         // With no idle rack left that fits 4, best-fit lands in rack 3 and
         // then the next job must reuse rack 0's hole.
-        let wide = p.alloc(4, PlacementPolicy::RackAware).unwrap();
+        let wide = take(&p, &mut avail, 4, PlacementPolicy::RackAware);
         assert_eq!(p.racks_of(&wide), vec![3]);
-        let hole = p.alloc(2, PlacementPolicy::RackAware).unwrap();
+        let hole = take(&p, &mut avail, 2, PlacementPolicy::RackAware);
         assert_eq!(p.racks_of(&hole), vec![0]);
-        p.release(&first);
-        p.release(&got);
-        p.release(&small);
-        p.release(&wide);
-        p.release(&hole);
-        assert_eq!(p.free_count(), 16);
     }
 
     #[test]
     fn rack_aware_spills_over_fewest_racks() {
-        let mut p = NodePool::new(16, 4);
-        let wide = p.alloc(6, PlacementPolicy::RackAware).unwrap();
+        let p = NodePool::new(16, 4);
+        let wide = p.select(&p.site(), 6, PlacementPolicy::RackAware).unwrap();
         assert_eq!(p.racks_of(&wide).len(), 2);
     }
 
     #[test]
-    fn alloc_always_succeeds_when_nodes_suffice() {
+    fn select_succeeds_whenever_the_candidates_suffice() {
         for policy in [
             PlacementPolicy::Packed,
             PlacementPolicy::Scattered,
             PlacementPolicy::RackAware,
         ] {
-            let mut p = NodePool::new(13, 4); // ragged final rack
-            let a = p.alloc(7, policy).unwrap();
-            let b = p.alloc(6, policy).unwrap();
-            assert!(p.alloc(1, policy).is_err());
-            p.release(&a);
-            p.release(&b);
-            assert_eq!(p.free_count(), 13);
+            let p = NodePool::new(13, 4); // ragged final rack
+            let mut avail = p.site();
+            take(&p, &mut avail, 7, policy);
+            take(&p, &mut avail, 6, policy);
+            assert!(p.select(&avail, 1, policy).is_err());
         }
     }
 
     #[test]
-    fn rack_strict_errors_on_fragmentation_instead_of_spilling() {
-        let mut p = NodePool::new(8, 4);
-        // Leave holes of 2 in each rack: 4 free total, no rack has 3.
-        let a = p.alloc(2, PlacementPolicy::Packed).unwrap(); // [0, 1]
-        let b = p
-            .alloc_from(3, PlacementPolicy::Packed, &ProcSet::range(4, 7))
-            .unwrap(); // [4, 5, 6]
-        assert_eq!(p.free_count(), 3);
-        // RackAware happily spills; RackStrict reports the fragmentation.
-        let err = p.alloc(3, PlacementPolicy::RackStrict).unwrap_err();
+    fn rack_strict_fails_typed_on_fragmentation() {
+        let p = NodePool::new(8, 4);
+        // Two free nodes in each rack: capacity admits 3, no rack does.
+        let avail = ProcSet::from_ids(&[2, 3, 6, 7]);
+        assert!(p.feasible(&avail, 2, PlacementPolicy::RackStrict));
+        assert!(!p.feasible(&avail, 3, PlacementPolicy::RackStrict));
+        assert!(p.feasible(&avail, 3, PlacementPolicy::RackAware));
         assert_eq!(
-            err,
-            SchedError::PlacementUnsatisfiable {
+            p.select(&avail, 3, PlacementPolicy::RackStrict),
+            Err(SchedError::PlacementUnsatisfiable {
                 need: 3,
                 policy: "rack-strict",
-                free: 3,
-            }
+                free: 4,
+            })
         );
-        let ok = p.alloc(2, PlacementPolicy::RackStrict).unwrap();
-        assert_eq!(p.racks_of(&ok).len(), 1);
-        p.release(&a);
-        p.release(&b);
-        p.release(&ok);
-        assert_eq!(p.free_count(), 8);
+        assert_eq!(
+            p.select(&avail, 2, PlacementPolicy::RackStrict).unwrap(),
+            vec![2, 3],
+            "best-fit lands in the fuller rack's hole"
+        );
+        // RackAware spills over the same holes.
+        let spilled = p.select(&avail, 3, PlacementPolicy::RackAware).unwrap();
+        assert_eq!(p.racks_of(&spilled).len(), 2);
     }
 
     #[test]
-    fn alloc_from_respects_the_candidate_set() {
-        let mut p = NodePool::new(16, 4);
-        let got = p
-            .alloc_from(2, PlacementPolicy::Packed, &ProcSet::range(8, 15))
-            .unwrap();
-        assert_eq!(got, vec![8, 9]);
-        let err = p
-            .alloc_from(9, PlacementPolicy::Packed, &ProcSet::range(8, 15))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SchedError::PlacementUnsatisfiable { free: 6, .. }
-        ));
+    fn select_picks_only_from_its_candidates() {
+        let p = NodePool::new(16, 4);
+        let cand = ProcSet::range(8, 15);
+        assert_eq!(
+            p.select(&cand, 2, PlacementPolicy::Packed).unwrap(),
+            vec![8, 9]
+        );
+        assert_eq!(
+            p.select(&cand, 9, PlacementPolicy::Packed),
+            Err(SchedError::PlacementUnsatisfiable {
+                need: 9,
+                policy: "packed",
+                free: 8,
+            })
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! slots, each holding the available [`ProcSet`] over its interval, with
 //! slot split/merge as the only mutations. Starting a job subtracts its
 //! placement from the slots over `[start, start + walltime)`; a departure
-//! adds it back over the unused tail. Count profiles walked off the slot
+//! adds it back over the unused tail. The slot set is the only record of
+//! which nodes are free: the [`NodePool`] is the static rack map a start
+//! picks its placement with ([`NodePool::select`]), from the candidates
+//! the window fit returned. Count profiles walked off the slot
 //! list feed the earliest-fit scan ([`earliest_fit`]) behind every quote.
 //! `tests/sched_reference.rs` pins the disciplines to a brute-force
 //! reference scheduler that shares none of this code.
@@ -418,7 +421,8 @@ struct Advance {
     done: bool,
 }
 
-/// State of one site's scheduler: pool + queue + running set + slot set.
+/// State of one site's scheduler: rack map + queue + running set + slot
+/// set. The slot set is the only record of which nodes are free when.
 pub(crate) struct SiteState {
     pub pool: NodePool,
     pub placement: PlacementPolicy,
@@ -508,7 +512,7 @@ impl SiteState {
             next_due: None,
             scan_watermark: 0,
             resv_dirty: true,
-            slots: SlotSet::new(0.0, cfg.pool.hierarchy().site()),
+            slots: SlotSet::new(0.0, cfg.pool.site()),
             quotas: cfg.quotas.clone(),
             gated: Vec::new(),
             advance: Vec::new(),
@@ -569,6 +573,18 @@ impl SiteState {
         }
     }
 
+    /// Nodes free at `now` on the slot timeline.
+    pub(crate) fn free_at(&self, now: f64) -> usize {
+        self.slots.avail_at(now).len()
+    }
+
+    /// The caller's id of a job still waiting to start: the queue head,
+    /// else the first gated job.
+    pub(crate) fn stranded(&self) -> Option<usize> {
+        let job = self.queue.front().or(self.gated.first())?;
+        Some(self.jobs[*job].id)
+    }
+
     /// Current health of `node` (Healthy when no feed is attached).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn node_health(&self, node: usize) -> NodeHealth {
@@ -580,8 +596,8 @@ impl SiteState {
         self.calendar_applied = self.calendar_applied || !calendar.is_empty();
         for m in calendar {
             let procs = match &m.nodes {
-                MaintNodes::All => self.pool.hierarchy().site(),
-                MaintNodes::Rack(r) => self.pool.hierarchy().rack_set(*r),
+                MaintNodes::All => self.pool.site(),
+                MaintNodes::Rack(r) => self.pool.rack_set(*r),
                 MaintNodes::Nodes(ids) => ProcSet::from_ids(ids),
             };
             self.slots.sub_window(m.begin, m.end, &procs);
@@ -599,7 +615,6 @@ impl SiteState {
         let cand = self.slots.window_avail(start, start + v.walltime);
         let picked = self
             .pool
-            .hierarchy()
             .select(&cand, v.nodes, self.placement)
             .map_err(|_| SchedError::ReservationUnsatisfiable { job, at: start })?;
         let procs = ProcSet::from_ids(&picked);
@@ -727,34 +742,29 @@ impl SiteState {
         }
     }
 
-    /// Return a departing run's nodes to the pool and to the unused tail
-    /// of its slot window. A node still inside a fault exclusion (crash
-    /// repair or drain window) only returns to the timeline where the
-    /// exclusion ends — re-adding it from `now` would undo the carve.
+    /// Return a departing run's nodes to the unused tail of its slot
+    /// window. A node still inside a fault exclusion (crash repair or
+    /// drain window) only returns to the timeline where the exclusion
+    /// ends — re-adding it from `now` would undo the carve.
     fn release_run(&mut self, now: f64, r: &Running) {
-        self.pool.release(&r.nodes_held);
-        if now < r.kill_at {
-            if self.faults_active {
-                let mut plain: Vec<usize> = Vec::new();
-                for &n in &r.nodes_held {
-                    let until = self.unavail_until[n];
-                    if until > now + EPS {
-                        if until < r.kill_at - EPS {
-                            self.slots
-                                .add_window(until, r.kill_at, &ProcSet::from_ids(&[n]));
-                        }
-                    } else {
-                        plain.push(n);
+        if now >= r.kill_at {
+            return;
+        }
+        let mut plain: Vec<usize> = Vec::with_capacity(r.nodes_held.len());
+        for &n in &r.nodes_held {
+            match self.unavail_until.get(n) {
+                Some(&until) if until > now + EPS => {
+                    if until < r.kill_at - EPS {
+                        self.slots
+                            .add_window(until, r.kill_at, &ProcSet::from_ids(&[n]));
                     }
                 }
-                if !plain.is_empty() {
-                    self.slots
-                        .add_window(now, r.kill_at, &ProcSet::from_ids(&plain));
-                }
-            } else {
-                self.slots
-                    .add_window(now, r.kill_at, &ProcSet::from_ids(&r.nodes_held));
+                _ => plain.push(n),
             }
+        }
+        if !plain.is_empty() {
+            self.slots
+                .add_window(now, r.kill_at, &ProcSet::from_ids(&plain));
         }
     }
 
@@ -873,11 +883,7 @@ impl SiteState {
         } else {
             self.slots.avail_at(now).clone()
         };
-        if self
-            .pool
-            .hierarchy()
-            .feasible(&cand, v.nodes, self.placement)
-        {
+        if self.pool.feasible(&cand, v.nodes, self.placement) {
             Some(cand)
         } else {
             None
@@ -949,37 +955,30 @@ impl SiteState {
 
     /// Start every pinned advance reservation whose time has come, on
     /// exactly its pre-split nodes.
-    pub(crate) fn start_due_advance(&mut self, now: f64) -> Result<(), SchedError> {
+    pub(crate) fn start_due_advance(&mut self, now: f64) {
         for i in 0..self.advance.len() {
-            let (job, start, walltime, done) = {
-                let a = &self.advance[i];
-                (a.job, a.start, a.walltime, a.done)
-            };
-            if done || start > now + EPS {
+            let a = &self.advance[i];
+            if a.done || a.start > now + EPS {
                 continue;
             }
-            let procs = self.advance[i].procs.clone();
-            let v = self.jobs[job].view;
-            let held = self
-                .pool
-                .alloc_from(v.nodes, self.placement, &procs)
-                .map_err(|_| SchedError::ReservationUnsatisfiable { job, at: start })?;
             // Kill at the pre-split window's exact end, so the departure
             // hands back precisely the slots the pin took.
-            self.commence(job, now, &v, held, start + walltime, true);
+            let (job, kill_at) = (a.job, a.start + a.walltime);
+            let held: Vec<usize> = a.procs.iter().collect();
+            let v = self.jobs[job].view;
+            self.commence(job, now, &v, held, kill_at, true);
             self.advance[i].done = true;
         }
-        Ok(())
     }
 
     // -- Starting jobs ----------------------------------------------------
 
-    /// Allocate from the window's candidate procs and split the placement
+    /// Pick the placement from the window's candidate procs and split it
     /// out of the slots over `[now, now + walltime)`.
     fn start_job(&mut self, pos: usize, now: f64, cand: &ProcSet) -> Result<(), SchedError> {
         let job = self.queue.remove(pos).expect("valid queue position");
         let v = self.jobs[job].view;
-        let nodes_held = self.pool.alloc_from(v.nodes, self.placement, cand)?;
+        let nodes_held = self.pool.select(cand, v.nodes, self.placement)?;
         self.commence(job, now, &v, nodes_held, now + v.walltime, false);
         Ok(())
     }
@@ -1076,16 +1075,16 @@ impl SiteState {
     /// rest of the queue.
     ///
     /// A candidate meets the cheap tests first — its width against the
-    /// free set at `now`, then the shadow/extra rule — and only then the
-    /// placement walk and the quota gate. Every test must pass to start,
-    /// so the order cannot change the outcome (and placement implies the
-    /// width test: any window's availability from `now` is a subset of the
-    /// free set at `now`). A start is taken in place and the pass goes on
-    /// from the same position: a start only tightens every other test
-    /// (window availability shrinks, quota usage grows, the head stays
-    /// blocked), so a candidate that failed earlier in the pass fails
-    /// again, and a restart from the front would visit no new start. Two
-    /// rules keep that exact:
+    /// availability at `now`, then the shadow/extra rule — and only then
+    /// the placement walk and the quota gate. Every test must pass to
+    /// start, so the order cannot change the outcome (and placement
+    /// implies the width test: any window's availability from `now` is a
+    /// subset of the availability at `now`). A start is taken in place
+    /// and the pass goes on from the same position: a start only tightens
+    /// every other test (window availability shrinks, quota usage grows,
+    /// the head stays blocked), so a candidate that failed earlier in the
+    /// pass fails again, and a restart from the front would visit no new
+    /// start. Two rules keep that exact:
     ///
     /// * **Re-scan.** The shadow/extra rule is the one test a start can
     ///   loosen: a maintenance window or advance reservation dipping the
@@ -1591,11 +1590,11 @@ pub(crate) fn validate_job(i: usize, j: &SchedJob, cfg: &SiteConfig) -> Result<(
             });
         }
         // RackStrict can never place a job wider than one rack.
-        if cfg.placement == PlacementPolicy::RackStrict && w > cfg.pool.hierarchy().rack_size() {
+        if cfg.placement == PlacementPolicy::RackStrict && w > cfg.pool.rack_size() {
             return Err(SchedError::InsufficientNodes {
                 job: i,
                 need: w,
-                limit: cfg.pool.hierarchy().rack_size(),
+                limit: cfg.pool.rack_size(),
             });
         }
         // A windowless quota is a hard ceiling.
@@ -2059,6 +2058,29 @@ mod tests {
         assert_eq!(r.head_delay_violations, 1);
     }
 
+    /// A wake at a maintenance end off the nanosecond grid rounds down
+    /// into the outage, where the job's window never fits, and no event is
+    /// left to retry it: a known defect whose fix moves the pinned
+    /// benchmark digests. The batch and the stream both report the
+    /// stranded job by the caller's id; neither panics nor ends `Ok`
+    /// without it.
+    #[test]
+    fn a_wake_rounded_into_an_outage_strands_the_job_typed() {
+        let mut jobs = exact_jobs(&[(4, 0.0, 10.0, None)]);
+        jobs[0].id = 7;
+        for d in [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative] {
+            let c = cfg(4, 2, d).with_maintenance(Maintenance {
+                begin: 1.0,
+                end: 20.3271266504446,
+                nodes: MaintNodes::All,
+            });
+            let stranded = SchedError::Stranded { job: 7 };
+            assert_eq!(simulate_site(&jobs, &c).unwrap_err(), stranded, "{d:?}");
+            let stream = crate::stream::simulate_site_stream(jobs.clone(), &c, |_| {});
+            assert_eq!(stream.unwrap_err(), stranded, "{d:?}");
+        }
+    }
+
     // -- Unplanned faults -------------------------------------------------
 
     /// A fail-stop-only model hot enough that an hour-long batch on a
@@ -2249,8 +2271,6 @@ mod tests {
     // -- Fault-feed validation ------------------------------------------
 
     /// Whether a small EASY batch under `f` is refused as a bad config.
-    /// Each test lists its finite cases before any infinite one, which
-    /// would hang the generator if it got past validation.
     fn rejected(f: SiteFaults) -> bool {
         let c = cfg(8, 4, Discipline::Easy).with_faults(f.with_mttr(120.0));
         matches!(
@@ -2275,13 +2295,20 @@ mod tests {
                 nic_factor: f64::NAN,
                 ..m.clone()
             },
-            FaultModel {
-                crash_per_node_hour: f64::INFINITY,
-                ..m.clone()
-            },
         ] {
             assert!(rejected(SiteFaults::new(bad.clone(), 3)), "{bad:?}");
         }
+        // An infinite rate is checked without a run: past validation, the
+        // plan generator would draw zero-length gaps forever.
+        let inf = FaultModel {
+            crash_per_node_hour: f64::INFINITY,
+            ..m
+        };
+        let c = cfg(8, 4, Discipline::Easy).with_faults(SiteFaults::new(inf, 3).with_mttr(120.0));
+        assert!(matches!(
+            validate_config(&c),
+            Err(SchedError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

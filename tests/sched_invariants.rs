@@ -1,14 +1,17 @@
 //! Scheduler-subsystem invariants: the EASY guarantee under randomized
 //! job mixes, the contended ARRIVE-F rerun, slot-set capability
-//! semantics, rack-strict fragmentation, engine-vs-scheduler contention
-//! agreement, and golden digests of the schedsweep and slot-capabilities
-//! figures. `tests/sched_reference.rs` pins the disciplines themselves to
+//! semantics, rack-strict fragmentation, a seeded no-panic fuzz of the
+//! constrained scheduler, engine-vs-scheduler contention agreement, and
+//! golden digests of the schedsweep and slot-capabilities figures. `tests/sched_reference.rs` pins the disciplines themselves to
 //! a brute-force reference scheduler.
 
+use cloudsim::sim_des::DetRng;
+use cloudsim::sim_faults::FaultModel;
 use cloudsim::sim_net::ContentionParams;
 use cloudsim::sim_sched::{
-    lublin_mix, simulate_burst, simulate_site, BurstPolicy, Discipline, NodePool, PlacementPolicy,
-    SchedJob, SiteConfig,
+    lublin_mix, simulate_burst, simulate_site, simulate_site_stream, BurstPolicy, Discipline,
+    JobOutcome, MaintNodes, Maintenance, NodePool, PlacementPolicy, QuotaRule, SchedError,
+    SchedJob, SiteConfig, SiteFaults,
 };
 use cloudsim::{
     contended_mix, contended_sites, figures, presets, Capacities, ReproConfig, DEFAULT_SEED,
@@ -271,6 +274,164 @@ fn rack_strict_fragmentation_waits_for_a_rack_hole() {
         slot.outcomes[2]
     );
     assert!(slot.outcomes.iter().all(|o| o.completed));
+}
+
+/// One random small site and job list for the constrained-scheduler fuzz:
+/// 2–16 nodes in racks of 2, 4 or 8, any placement and discipline, 0–3
+/// maintenance windows and 0–2 quotas (with or without a window), every
+/// time whole or fractional, an optional finite crash/NIC feed, and a
+/// rare advance reservation. Jobs are sorted by submission with ids equal
+/// to their index, so a stream can replay them.
+fn fuzz_scenario(rng: &mut DetRng) -> (Vec<SchedJob>, SiteConfig) {
+    let nodes = 2 + rng.index(15);
+    let rack = [2, 4, 8][rng.index(3)];
+    let pool = NodePool::new(nodes, rack);
+    let placement = [
+        PlacementPolicy::Packed,
+        PlacementPolicy::Scattered,
+        PlacementPolicy::RackAware,
+        PlacementPolicy::RackStrict,
+    ][rng.index(4)];
+    let discipline = [Discipline::Fcfs, Discipline::Easy, Discipline::Conservative][rng.index(3)];
+    let fractional = rng.chance(0.5);
+    let time = |rng: &mut DetRng, lo: f64, hi: f64| {
+        let t = rng.uniform_range(lo, hi);
+        if fractional {
+            t
+        } else {
+            t.round()
+        }
+    };
+    let contention = if rng.chance(0.3) {
+        ContentionParams {
+            beta: 0.5,
+            cap: 2.5,
+        }
+    } else {
+        ContentionParams::NONE
+    };
+    let widest = if placement == PlacementPolicy::RackStrict {
+        rack.min(nodes)
+    } else {
+        nodes
+    };
+    let mut cfg = SiteConfig::new(pool.clone(), placement, discipline, contention);
+    for _ in 0..rng.index(4) {
+        let begin = time(rng, 0.0, 200.0);
+        let end = begin + time(rng, 1.0, 100.0).max(1.0);
+        let down = match rng.index(3) {
+            0 => MaintNodes::All,
+            1 => MaintNodes::Rack(rng.index(pool.n_racks())),
+            _ => MaintNodes::Nodes((0..nodes).filter(|_| rng.chance(0.4)).collect()),
+        };
+        cfg = cfg.with_maintenance(Maintenance {
+            begin,
+            end,
+            nodes: down,
+        });
+    }
+    for project in 0..rng.index(3) as u32 {
+        let window = rng.chance(0.5).then(|| {
+            let b = time(rng, 0.0, 150.0);
+            (b, b + time(rng, 1.0, 200.0).max(1.0))
+        });
+        // A windowless cap narrower than a job only rejects the input.
+        let floor = if window.is_some() { 1 } else { widest };
+        cfg = cfg.with_quota(QuotaRule {
+            project,
+            max_nodes: floor.max(1 + rng.index(nodes)),
+            window,
+        });
+    }
+    if rng.chance(0.4) {
+        let model = FaultModel {
+            name: "fuzz",
+            scale: 1.0,
+            crash_per_node_hour: rng.uniform_range(0.0, 20.0),
+            crash_mean_secs: rng.uniform_range(1.0, 30.0),
+            nic_per_node_hour: rng.uniform_range(0.0, 20.0),
+            nic_mean_secs: rng.uniform_range(1.0, 60.0),
+            nic_factor: 2.0,
+            ..FaultModel::none()
+        };
+        let feed = SiteFaults::new(model, rng.next_u64())
+            .with_mttr(time(rng, 1.0, 60.0))
+            .with_horizon(time(rng, 100.0, 600.0).max(1.0));
+        cfg = cfg.with_faults(feed);
+    }
+    let pinned = rng.chance(0.1).then(|| rng.index(3));
+    let mut submit = 0.0;
+    let jobs = (0..3 + rng.index(10))
+        .map(|id| {
+            submit += time(rng, 0.0, 30.0);
+            let runtime = time(rng, 1.0, 60.0).max(1.0);
+            let mut j = SchedJob::new(id, 1 + rng.index(widest), submit, runtime, 0.0);
+            j.walltime = if rng.chance(0.5) {
+                runtime
+            } else {
+                runtime + time(rng, 0.0, 60.0)
+            };
+            j.comm_fraction = rng.uniform_range(0.0, 0.5);
+            if rng.chance(0.3) {
+                j.project = Some(rng.index(2) as u32);
+            }
+            if pinned == Some(id) {
+                j = j.at(submit + time(rng, 0.0, 50.0));
+            }
+            j
+        })
+        .collect();
+    (jobs, cfg)
+}
+
+/// Seeded no-panic fuzz of the constrained scheduler (ROADMAP item 4):
+/// `simulate_site` returns one sane outcome per job or a typed error, and
+/// `simulate_site_stream` agrees with it, outcome for outcome or error for
+/// error, on every scenario it accepts (all but advance reservations).
+/// `--nocapture` prints how the scenarios ended.
+#[test]
+fn constrained_scheduler_fuzz_fails_typed_or_schedules_every_job() {
+    let (mut ok, mut stranded, mut other) = (0, 0, 0);
+    for case in 0..1000 {
+        let mut rng = DetRng::new(0x5C4E_DF22, case);
+        let (jobs, cfg) = fuzz_scenario(&mut rng);
+        let ctx = format!("case {case}: {cfg:?} {jobs:?}");
+        let batch = simulate_site(&jobs, &cfg);
+        match &batch {
+            Ok(_) => ok += 1,
+            Err(SchedError::Stranded { .. }) => stranded += 1,
+            Err(_) => other += 1,
+        }
+        if let Ok(r) = &batch {
+            assert_eq!(r.outcomes.len(), jobs.len(), "{ctx}");
+            for (j, o) in jobs.iter().zip(&r.outcomes) {
+                assert_eq!(o.id, j.id, "{ctx}");
+                assert!(o.start >= j.submit - EPS, "{ctx}: {o:?}");
+                assert!(o.end >= o.start, "{ctx}: {o:?}");
+            }
+        }
+        if jobs.iter().any(|j| j.start_at.is_some()) {
+            continue;
+        }
+        let mut streamed: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+        let stream = simulate_site_stream(jobs.iter().cloned(), &cfg, |o| {
+            streamed[o.id] = Some(o.clone());
+        });
+        match (&batch, stream) {
+            (Ok(r), Ok(_)) => {
+                for (want, got) in r.outcomes.iter().zip(&streamed) {
+                    let got = got.as_ref().unwrap_or_else(|| panic!("{ctx}: no outcome"));
+                    assert_eq!(want.start.to_bits(), got.start.to_bits(), "{ctx}");
+                    assert_eq!(want.end.to_bits(), got.end.to_bits(), "{ctx}");
+                    assert_eq!(want.completed, got.completed, "{ctx}");
+                    assert_eq!(want.requeues, got.requeues, "{ctx}");
+                }
+            }
+            (Err(want), Err(got)) => assert_eq!(want, &got, "{ctx}"),
+            (want, got) => panic!("{ctx}: batch {want:?} but stream {got:?}"),
+        }
+    }
+    eprintln!("fuzz: {ok} scheduled, {stranded} stranded, {other} other typed errors");
 }
 
 // ---------------------------------------------------------------------------
