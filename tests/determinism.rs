@@ -356,11 +356,13 @@ fn ambient_state_does_not_leak_into_results() {
 // `tests/golden_digests.txt`. Its CG, MetUM and OSU rows were recorded with
 // the pre-optimization engine; its LU, MG and BT rows, which exercise eager
 // point-to-point matching, with the linear-scan channel tables that
-// preceded the hashed ones. Any fast path that changes a single clock tick,
+// preceded the hashed ones; its faulted CG rows under restart and
+// shrink+spare recovery with the engine whose restart and rollback were
+// still separate routines. Any fast path that changes a single clock tick,
 // ledger entry or report line fails here.
 //
 // Regenerate (only when an *intentional* semantic change lands) with:
-//     UPDATE_GOLDEN=1 cargo test --test determinism golden -- --ignored --nocapture
+//     UPDATE_GOLDEN=1 cargo test --test determinism golden -- --nocapture
 // (the update writer is the same test; it rewrites the file in place).
 
 mod golden {
@@ -453,42 +455,73 @@ mod golden {
         // Faulted: preempt-heavy CG with checkpoints, and SDC with ABFT
         // verification cuts — the recovery paths the fast paths must not
         // perturb. Profiled so FAULT/RESTART/VERIFY attribution is pinned.
+        // The same job and faults run under each recovery strategy: ABFT
+        // rollback, full restart (fatal- and SDC-triggered relaunches from
+        // the last checkpoint) and shrink+spare (spare splices with their
+        // respawn gap, then restarts once the pool runs dry).
         let w = Npb::new(Kernel::Cg, Class::S);
         let vw = Verified::new(&w, VerifyPolicy::new(2, 1e6, 1 << 20));
         let ck = Checkpointed::new(&vw, CheckpointPolicy::new(5, 1 << 20));
         let mut job = ck.build(16);
-        for c in &platforms {
-            let preset = FaultSpec::preset_for(c);
-            let spec = FaultSpec {
-                model: preset
-                    .model
-                    .clone()
-                    .with_rates_scaled(3600.0 * 500.0)
-                    .with_sdc(3600.0 * 200.0, 1.0),
-                horizon_secs: 30.0,
-                recovery: RecoveryStrategy::AbftRollback,
-                // Generous budget: crash windows at x500 scale must stall,
-                // not abort, so the digests cover long retry chains.
-                retry: RetryPolicy {
-                    timeout_secs: 1.0,
-                    backoff: 2.0,
-                    max_retries: 500,
-                    max_delay_secs: 3600.0,
+        let strategies = [
+            ("", RecoveryStrategy::AbftRollback),
+            ("+restart", RecoveryStrategy::Restart),
+            (
+                "+shrink",
+                RecoveryStrategy::ShrinkSpare {
+                    spares: 4,
+                    respawn_delay_secs: 0.05,
                 },
-                ..preset
-            };
-            for seed in 0..8u64 {
-                let cfg = SimConfig {
-                    seed,
-                    faults: Some(spec.clone()),
-                    ..Default::default()
+            ),
+        ];
+        for (family, recovery) in strategies {
+            let mut shrinks = 0;
+            for c in &platforms {
+                let preset = FaultSpec::preset_for(c);
+                let spec = FaultSpec {
+                    model: preset
+                        .model
+                        .clone()
+                        .with_rates_scaled(3600.0 * 500.0)
+                        .with_sdc(3600.0 * 200.0, 1.0),
+                    horizon_secs: 30.0,
+                    recovery,
+                    // Generous budget: crash windows at x500 scale must
+                    // stall, not abort, so the digests cover long retry
+                    // chains.
+                    retry: RetryPolicy {
+                        timeout_secs: 1.0,
+                        backoff: 2.0,
+                        max_retries: 500,
+                        max_delay_secs: 3600.0,
+                    },
+                    ..preset
                 };
-                let (r, rep) = profile_run(&mut job, c, &cfg).unwrap();
-                out.push((
-                    format!("cg.S.np16+faults+sdc/{}/seed{seed}", c.name),
-                    digest_result(&r),
-                    digest_report(&rep),
-                ));
+                for seed in 0..8u64 {
+                    let cfg = SimConfig {
+                        seed,
+                        faults: Some(spec.clone()),
+                        ..Default::default()
+                    };
+                    let (r, rep) = profile_run(&mut job, c, &cfg).unwrap();
+                    let label = format!("cg.S.np16+faults+sdc{family}/{}/seed{seed}", c.name);
+                    // Every restart row relaunches on a detected corruption
+                    // at least once.
+                    if matches!(recovery, RecoveryStrategy::Restart) {
+                        assert!(
+                            r.restarts >= 1 && r.sdc_detected >= 1,
+                            "{label}: no SDC-triggered restart: {r:?}"
+                        );
+                    }
+                    shrinks += r.shrinks;
+                    out.push((label, digest_result(&r), digest_report(&rep)));
+                }
+            }
+            // Most DCC seeds fault before the first verified cut, so their
+            // shrink rows fall back to restarts (pinning that fallback);
+            // the family as a whole must still splice spares in.
+            if matches!(recovery, RecoveryStrategy::ShrinkSpare { .. }) {
+                assert!(shrinks >= 1, "the shrink family recorded no shrink");
             }
         }
         out
@@ -496,8 +529,10 @@ mod golden {
 
     fn render(digests: &[(String, u64, u64)]) -> String {
         let mut s = String::from(
-            "# Golden SimResult + IPM digests: CG, MetUM, OSU and faulted CG recorded with the \
-             pre-optimization engine, LU, MG and BT with the linear-scan channel tables.\n\
+            "# Golden SimResult + IPM digests: CG, MetUM, OSU and faulted CG under ABFT rollback \
+             recorded with the pre-optimization engine, LU, MG and BT with the linear-scan \
+             channel tables, faulted CG under restart and shrink+spare with the two-path \
+             recovery engine.\n\
              # label\tsim_digest\tipm_digest\n",
         );
         for (label, sim, ipm) in digests {
