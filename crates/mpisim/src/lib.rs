@@ -956,7 +956,9 @@ mod fuzz {
     //! global action script (which makes them deadlock-free by
     //! construction — every rank's program order is a subsequence of one
     //! total order, so the globally-earliest pending pairwise action always
-    //! has both participants available).
+    //! has both participants available). Checkpoints and verification cuts
+    //! are world-synchronised like the collectives, so every rank sees the
+    //! same cut sequence and a relaunch can resume any of them.
 
     use super::*;
     use sim_des::DetRng;
@@ -990,6 +992,13 @@ mod fuzz {
             bytes: u32,
         },
         Barrier,
+        Checkpoint {
+            bytes: u32,
+        },
+        Verify {
+            flops: u32,
+            state_bytes: u32,
+        },
     }
 
     /// Draw one random action; pairwise actions always reference two
@@ -1003,7 +1012,7 @@ mod fuzz {
             }
             (a, b)
         };
-        match rng.index(6) {
+        match rng.index(8) {
             0 => Action::Compute {
                 rank: rng.index(np as usize) as u8,
                 flops: 1 + rng.index(49_999_999) as u32,
@@ -1038,7 +1047,14 @@ mod fuzz {
             4 => Action::Allreduce {
                 bytes: 1 + rng.index(99_999) as u32,
             },
-            _ => Action::Barrier,
+            5 => Action::Barrier,
+            6 => Action::Checkpoint {
+                bytes: 1 + rng.index(1 << 20) as u32,
+            },
+            _ => Action::Verify {
+                flops: 1 + rng.index(9_999_999) as u32,
+                state_bytes: 1 + rng.index(1 << 20) as u32,
+            },
         }
     }
 
@@ -1113,6 +1129,21 @@ mod fuzz {
                         p.push(Op::Coll(CollOp::Barrier));
                     }
                 }
+                Action::Checkpoint { bytes } => {
+                    for p in programs.iter_mut() {
+                        p.push(Op::Checkpoint {
+                            bytes: *bytes as u64,
+                        });
+                    }
+                }
+                Action::Verify { flops, state_bytes } => {
+                    for p in programs.iter_mut() {
+                        p.push(Op::Verify {
+                            flops: *flops as f64,
+                            state_bytes: *state_bytes as u64,
+                        });
+                    }
+                }
             }
         }
         JobSpec::from_programs("fuzz", programs, vec![])
@@ -1155,5 +1186,113 @@ mod fuzz {
                 assert_eq!(a.elapsed, max_wall);
             }
         }
+    }
+
+    /// Every script, under heavy crashes, preemptions and silent
+    /// corruption with each recovery strategy, finishes or exhausts its
+    /// retry budget; a rerun is bit-identical, every rank conserves its
+    /// time, and only the strategy in force shows its own recovery count.
+    #[test]
+    fn random_programs_recover_under_every_strategy() {
+        use sim_faults::{FaultModel, FaultSpec, RecoveryStrategy, RetryPolicy};
+        // Totals over all runs: the fuzz must reach every recovery path.
+        let (mut restarts, mut rollbacks, mut shrinks, mut detected) = (0, 0, 0, 0);
+        for case in 0..48u64 {
+            let mut rng = DetRng::new(0xF022_0002, case);
+            let np = 2 + rng.index(5) as u8;
+            let len = 1 + rng.index(39);
+            let script: Vec<Action> = (0..len).map(|_| gen_action(&mut rng, np)).collect();
+            let seed = rng.next_u64();
+            let mut job = compile(np, &script);
+            for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
+                let plain = SimConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let t0 = run_job(&mut job, &cluster, &plain, &mut NullSink)
+                    .unwrap()
+                    .elapsed_secs()
+                    .max(1e-6);
+                // Per node and fault-free runtime: two crashes, one
+                // preemption and four corruptions.
+                let per_t0 = 3600.0 / t0;
+                let model = FaultModel {
+                    crash_per_node_hour: 2.0 * per_t0,
+                    crash_mean_secs: 0.05 * t0,
+                    preempt_per_node_hour: per_t0,
+                    sdc_per_node_hour: 4.0 * per_t0,
+                    sdc_mean_severity: 1.0,
+                    scale: 1.0,
+                    ..FaultModel::none()
+                };
+                for recovery in [
+                    RecoveryStrategy::Restart,
+                    RecoveryStrategy::AbftRollback,
+                    RecoveryStrategy::ShrinkSpare {
+                        spares: 2,
+                        respawn_delay_secs: 0.01 * t0,
+                    },
+                ] {
+                    let cfg = SimConfig {
+                        seed,
+                        faults: Some(FaultSpec {
+                            model: model.clone(),
+                            retry: RetryPolicy::default(),
+                            restart_delay_secs: 0.1 * t0,
+                            horizon_secs: 10.0 * t0,
+                            recovery,
+                            sdc_threshold: 0.01,
+                        }),
+                        ..Default::default()
+                    };
+                    let ctx = format!("case {case} on {} under {recovery:?}", cluster.name);
+                    let a = run_job(&mut job, &cluster, &cfg, &mut NullSink);
+                    let b = run_job(&mut job, &cluster, &cfg, &mut NullSink);
+                    let (a, b) = match (a, b) {
+                        (Ok(a), Ok(b)) => (a, b),
+                        (Err(SimError::RetryExhausted(x)), Err(SimError::RetryExhausted(y))) => {
+                            assert_eq!(x, y, "{ctx}");
+                            continue;
+                        }
+                        (a, b) => panic!("{ctx}: {a:?} then {b:?}"),
+                    };
+                    assert_eq!(a.elapsed, b.elapsed, "{ctx}");
+                    assert_eq!(a.ranks, b.ranks, "{ctx}");
+                    assert_eq!(
+                        (a.ops_executed, a.restarts, a.rollbacks, a.shrinks),
+                        (b.ops_executed, b.restarts, b.rollbacks, b.shrinks),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        (a.sdc_detected, a.sdc_undetected),
+                        (b.sdc_detected, b.sdc_undetected),
+                        "{ctx}"
+                    );
+                    for (i, t) in a.ranks.iter().enumerate() {
+                        assert_eq!(t.other(), sim_des::SimDur::ZERO, "{ctx} rank {i}: {t:?}");
+                    }
+                    let max_wall = a.ranks.iter().map(|t| t.wall).max().unwrap();
+                    assert_eq!(a.elapsed, max_wall, "{ctx}");
+                    match recovery {
+                        RecoveryStrategy::AbftRollback => assert_eq!(a.shrinks, 0, "{ctx}"),
+                        RecoveryStrategy::ShrinkSpare { spares, .. } => {
+                            assert_eq!(a.rollbacks, 0, "{ctx}");
+                            assert!(a.shrinks <= spares as u64, "{ctx}: {a:?}");
+                        }
+                        RecoveryStrategy::Restart => {
+                            assert_eq!((a.rollbacks, a.shrinks), (0, 0), "{ctx}")
+                        }
+                    }
+                    restarts += a.restarts;
+                    rollbacks += a.rollbacks;
+                    shrinks += a.shrinks;
+                    detected += a.sdc_detected;
+                }
+            }
+        }
+        assert!(
+            restarts > 0 && rollbacks > 0 && shrinks > 0 && detected > 0,
+            "restarts {restarts}, rollbacks {rollbacks}, shrinks {shrinks}, detected {detected}"
+        );
     }
 }
