@@ -195,21 +195,22 @@ impl NodePool {
         free
     }
 
+    /// The one rack that takes all `n` nodes, if any. An idle rack avoids
+    /// leaf-switch co-tenancy entirely; failing that, best-fit into an
+    /// occupied rack (the fullest one that still takes the whole job,
+    /// keeping big holes intact for wide jobs).
+    fn single_rack(&self, free_per_rack: &[usize], n: usize) -> Option<usize> {
+        let fits = || (0..self.n_racks()).filter(|&r| free_per_rack[r] >= n);
+        fits()
+            .filter(|&r| free_per_rack[r] == self.rack_capacity(r))
+            .min_by_key(|&r| free_per_rack[r])
+            .or_else(|| fits().min_by_key(|&r| free_per_rack[r]))
+    }
+
     fn pick_rack_aware(&self, avail: &ProcSet, n: usize) -> Vec<usize> {
         let n_racks = self.n_racks();
         let free_per_rack = self.free_per_rack(avail);
-        // An idle rack avoids leaf-switch co-tenancy entirely; failing
-        // that, best-fit into an occupied rack (the fullest one that still
-        // takes the whole job, keeping big holes intact for wide jobs).
-        let idle = (0..n_racks)
-            .filter(|&r| free_per_rack[r] >= n && free_per_rack[r] == self.rack_capacity(r))
-            .min_by_key(|&r| free_per_rack[r]);
-        let single = idle.or_else(|| {
-            (0..n_racks)
-                .filter(|&r| free_per_rack[r] >= n)
-                .min_by_key(|&r| free_per_rack[r])
-        });
-        let rack_order: Vec<usize> = match single {
+        let rack_order: Vec<usize> = match self.single_rack(&free_per_rack, n) {
             Some(r) => {
                 let mut order = vec![r];
                 order.extend((0..n_racks).filter(|&x| x != r));
@@ -238,21 +239,11 @@ impl NodePool {
         out
     }
 
-    /// Single-rack-or-nothing: an idle rack that fits, else the best-fit
-    /// occupied rack. `None` when no single rack holds `n` available
-    /// nodes — the fragmentation case `RackAware` spills over and this
-    /// policy refuses.
+    /// Single-rack-or-nothing: the [`NodePool::single_rack`] choice.
+    /// `None` when no single rack holds `n` available nodes — the
+    /// fragmentation case `RackAware` spills over and this policy refuses.
     fn pick_rack_strict(&self, avail: &ProcSet, n: usize) -> Option<Vec<usize>> {
-        let free_per_rack = self.free_per_rack(avail);
-        let n_racks = self.n_racks();
-        let idle = (0..n_racks)
-            .filter(|&r| free_per_rack[r] >= n && free_per_rack[r] == self.rack_capacity(r))
-            .min_by_key(|&r| free_per_rack[r]);
-        let rack = idle.or_else(|| {
-            (0..n_racks)
-                .filter(|&r| free_per_rack[r] >= n)
-                .min_by_key(|&r| free_per_rack[r])
-        })?;
+        let rack = self.single_rack(&self.free_per_rack(avail), n)?;
         Some(
             avail
                 .intersect(&self.rack_set(rack))
