@@ -405,6 +405,11 @@ impl RetryPolicy {
     /// Delay (seconds) to wait before the `attempt`-th re-issue, 1-based:
     /// `delay_before(1)` is the first retry's delay. Used by the scheduler
     /// to space crash requeues on the same backoff curve as op retries.
+    ///
+    /// # Panics
+    ///
+    /// Never: [`delays`](Self::delays) is an infinite sequence, so every
+    /// index has an element.
     pub fn delay_before(&self, attempt: u32) -> f64 {
         let n = attempt.max(1) - 1;
         self.delays()
@@ -415,6 +420,11 @@ impl RetryPolicy {
     /// The deterministic instant the op finally goes through: the first
     /// retry attempt at or after `recovery`, or `None` when the retry
     /// budget is exhausted first.
+    ///
+    /// # Panics
+    ///
+    /// Never: [`delays`](Self::delays) is an infinite sequence, so every
+    /// retry draws a delay.
     pub fn first_success(&self, issued: SimTime, recovery: SimTime) -> Option<SimTime> {
         let mut t = issued;
         let mut delays = self.delays();
@@ -584,6 +594,12 @@ impl FaultSchedule {
     /// windows are bit-identical whether its peers are generated or not —
     /// a job placed on 2 of a 1492-node cluster pays for 2 nodes' worth of
     /// schedule, not 1492.
+    ///
+    /// # Panics
+    ///
+    /// If an index in `active` is `>= nodes` (and the model draws any
+    /// faults at all). Callers pass node indices of a placement on the
+    /// same `nodes`-node cluster.
     pub fn generate_for(
         model: &FaultModel,
         nodes: usize,

@@ -324,6 +324,12 @@ pub struct CyclicProgram {
 impl CyclicProgram {
     /// `build_body` fills one iteration's ops; the stream repeats it
     /// `blocks` times.
+    ///
+    /// # Panics
+    ///
+    /// If the program's segments hold more than 65,534 distinct op values
+    /// between them: the dictionary is indexed by `u16`. Workload blocks
+    /// repeat a handful of op shapes, far below the limit.
     pub fn new(blocks: usize, build_body: impl FnOnce(&mut Vec<Op>)) -> Self {
         let mut p = CyclicProgram {
             dict: Vec::new(),
@@ -342,6 +348,12 @@ impl CyclicProgram {
     }
 
     /// Ops emitted once before the first body repetition.
+    ///
+    /// # Panics
+    ///
+    /// If the program's segments hold more than 65,534 distinct op values
+    /// between them: the dictionary is indexed by `u16`. Workload blocks
+    /// repeat a handful of op shapes, far below the limit.
     pub fn with_prologue(mut self, build: impl FnOnce(&mut Vec<Op>)) -> Self {
         let mut ops = Vec::new();
         build(&mut ops);
@@ -350,6 +362,12 @@ impl CyclicProgram {
     }
 
     /// Ops emitted once after the last body repetition.
+    ///
+    /// # Panics
+    ///
+    /// If the program's segments hold more than 65,534 distinct op values
+    /// between them: the dictionary is indexed by `u16`. Workload blocks
+    /// repeat a handful of op shapes, far below the limit.
     pub fn with_epilogue(mut self, build: impl FnOnce(&mut Vec<Op>)) -> Self {
         let mut ops = Vec::new();
         build(&mut ops);

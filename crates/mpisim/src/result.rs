@@ -99,6 +99,11 @@ impl SimResult {
     }
 
     /// Summary of per-rank *compute* time — its imbalance is IPM's "%imbal".
+    ///
+    /// # Panics
+    ///
+    /// If `ranks` is empty. Never for a result of [`crate::run_job`], which
+    /// rejects a job with zero ranks before running it.
     pub fn comp_summary(&self) -> Summary {
         Summary::of(
             &self
@@ -111,6 +116,11 @@ impl SimResult {
     }
 
     /// Summary of per-rank communication time.
+    ///
+    /// # Panics
+    ///
+    /// If `ranks` is empty. Never for a result of [`crate::run_job`], which
+    /// rejects a job with zero ranks before running it.
     pub fn comm_summary(&self) -> Summary {
         Summary::of(
             &self
