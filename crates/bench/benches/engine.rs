@@ -181,6 +181,63 @@ fn main() {
     }
 
     {
+        // The des layer alone: the event queue under the two traffic
+        // shapes the engine gives it. `hold64` keeps 64 events pending
+        // and follows each pop with a push at a distinct later instant,
+        // as LU's eager point-to-point traffic does (event `r` only ever
+        // lands on instants congruent to `r` mod 64). `burst1024` pushes
+        // 1,024 events at one instant, as a CG.S@1024 allreduce releases
+        // its ranks; each pop of the burst pushes once at a distinct later
+        // instant, and those all pop before the next burst.
+        use cloudsim::sim_des::{DetRng, EventQueue, SimTime};
+        let mut queue_row = |name: &str, pops: u64, f: &dyn Fn() -> u64| {
+            let iters = 10 * scale;
+            let per_iter = bench_throughput(name, iters, pops, f);
+            records.push(BenchRecord {
+                name: name.to_string(),
+                total_ops: pops,
+                iters,
+                sec_per_iter: per_iter,
+                ops_per_sec: pops as f64 / per_iter,
+            });
+        };
+        let pops: u64 = 1 << 20;
+        queue_row("des_queue/hold64", pops, &|| {
+            let mut rng = DetRng::new(42, 0);
+            let mut q = EventQueue::with_capacity(64);
+            for r in 0..64 {
+                q.push(SimTime(64 * rng.index(1 << 14) as u64 + r), r);
+            }
+            let mut sum = 0u64;
+            for _ in 0..pops {
+                let (t, r) = q.pop().expect("64 events pending");
+                sum = sum.wrapping_add(t.0);
+                q.push(SimTime(t.0 + 64 * (1 + rng.index(1 << 14) as u64)), r);
+            }
+            sum
+        });
+        queue_row("des_queue/burst1024", pops, &|| {
+            let mut q = EventQueue::with_capacity(1024);
+            let (mut t, mut sum) = (0u64, 0u64);
+            for _ in 0..pops / 2048 {
+                for r in 0..1024 {
+                    q.push(SimTime(t), r);
+                }
+                // An odd stride permutes the ranks' compute times.
+                for _ in 0..1024 {
+                    let (now, r) = q.pop().expect("burst pending");
+                    q.push(SimTime(now.0 + 1 + r * 613 % 1024), r);
+                }
+                while let Some((now, _)) = q.pop() {
+                    t = now.0;
+                    sum = sum.wrapping_add(t);
+                }
+            }
+            sum
+        });
+    }
+
+    {
         // Scheduler throughput: jobs scheduled per second through the
         // sim-sched DES (EASY + rack-aware + contention on the dcc fabric).
         // Pure discrete-event work — no MPI engine in the loop — so it
@@ -478,7 +535,7 @@ fn main() {
                       crashy feed seed 42; slotset 10000 lublin jobs on 512 procs; sched-stream \
                       1e4/1e5/1e6 lublin jobs load 0.7 seed 42 on dcc/32; sweep 48-cell x400-job \
                       stream grid, 2 threads; advisor 48-query npb S/W np4/8 x3 platforms, warm \
-                      loop K=64, fleet cold x2t"
+                      loop K=64, fleet cold x2t; des queue 2^20 pops hold64 / burst1024"
             .to_string(),
         calib_ops_per_sec: calib,
         results: records,

@@ -100,13 +100,32 @@ impl SimDur {
     }
 }
 
+/// Nanoseconds in `s` seconds, rounded to the nearest; non-positive and
+/// non-finite inputs clamp to zero.
 fn secs_to_ns(s: f64) -> u64 {
     if s <= 0.0 || !s.is_finite() {
         0
     } else {
-        // Round to nearest; costs are tiny fractions of a second so the f64
-        // mantissa comfortably covers the nanosecond grid.
-        (s * 1e9).round() as u64
+        round_ns(s * 1e9)
+    }
+}
+
+/// 2^52: below it an `f64`'s fractional part is representable and every
+/// integer converts to `f64` exactly.
+const EXACT_SPLIT_BELOW: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64` for `x >= 0`: half away from zero, saturating at
+/// `u64::MAX`. Model costs are tiny fractions of a second, so `x` sits far
+/// below 2^52 and splits exactly: `t = x as i64` converts back to `f64`
+/// without error, and `x - t` is the exact fraction. That keeps
+/// `f64::round`, a software routine on the baseline x86-64 target, off the
+/// simulator's per-event path; larger `x` still take it.
+fn round_ns(x: f64) -> u64 {
+    if x < EXACT_SPLIT_BELOW {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
     }
 }
 
@@ -209,6 +228,86 @@ mod tests {
         assert_eq!(format!("{}", SimDur(2_500)), "2.50us");
         assert_eq!(format!("{}", SimDur(3_000_000)), "3.000ms");
         assert_eq!(format!("{}", SimDur(4_000_000_000)), "4.000s");
+    }
+
+    /// `secs_to_ns` as it was with `f64::round`: the reference the exact
+    /// split must match on every input.
+    fn round_reference(s: f64) -> u64 {
+        if s <= 0.0 || !s.is_finite() {
+            0
+        } else {
+            (s * 1e9).round() as u64
+        }
+    }
+
+    /// `x` and the `n` doubles on either side of it, for `x >= 0`.
+    fn neighbours(x: f64, n: u64) -> impl Iterator<Item = f64> {
+        let b = x.to_bits();
+        (b.saturating_sub(n)..=b + n).map(f64::from_bits)
+    }
+
+    #[test]
+    fn exact_split_rounds_half_nanoseconds_like_round() {
+        let two51 = (1u64 << 51) as f64;
+        let two52 = EXACT_SPLIT_BELOW;
+        let halves = (0..10_000u32)
+            .map(|k| f64::from(k) + 0.5)
+            .chain((0..1_000u32).flat_map(|k| {
+                let k = f64::from(k);
+                [two51 - k - 0.5, two51 + k + 0.5, two52 - k - 0.5]
+            }));
+        for h in halves {
+            assert_eq!(h.fract(), 0.5, "{h} is not a half nanosecond");
+            for x in neighbours(h, 1) {
+                assert_eq!(round_ns(x), x.round() as u64, "x = {x:?}");
+            }
+            // The same instants reached through seconds, whose product
+            // lands on or beside the half.
+            for s in neighbours(h / 1e9, 2) {
+                assert_eq!(secs_to_ns(s), round_reference(s), "s = {s:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_split_matches_round_at_its_bound_and_beyond() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs: Vec<f64> = [two(52), two(53), two(63), two(64)]
+            .into_iter()
+            .flat_map(|x| neighbours(x, 64))
+            .collect();
+        xs.extend([two(65), 1e30, f64::MAX]);
+        for x in xs {
+            assert_eq!(round_ns(x), x.round() as u64, "x = {x:?}");
+            for s in [x, x / 1e9] {
+                assert_eq!(secs_to_ns(s), round_reference(s), "s = {s:e}");
+            }
+        }
+        assert_eq!(round_ns(two(64)), u64::MAX);
+        assert_eq!(secs_to_ns(f64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn exact_split_matches_round_on_special_and_random_seconds() {
+        let sub = f64::from_bits(1);
+        for s in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.0,
+            0.0,
+            sub,
+            -sub,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(secs_to_ns(s), round_reference(s), "s = {s:e}");
+        }
+        let mut rng = crate::rng::DetRng::new(0xD35_0005, 0);
+        for _ in 0..1_000_000 {
+            let s = rng.uniform() * 1e7;
+            assert_eq!(secs_to_ns(s), round_reference(s), "s = {s:e}");
+        }
     }
 
     #[test]

@@ -24,8 +24,7 @@
 use crate::error::SchedError;
 use crate::site::{FaultAction, FaultEvent, JobOutcome, SiteConfig, SiteState};
 use crate::slot::EPS;
-use sim_des::{EventQueue, SimTime};
-use std::collections::HashMap;
+use sim_des::{EventQueue, FxHashMap, SimTime};
 
 /// A simulation event on one site.
 #[derive(Clone, Copy)]
@@ -152,7 +151,7 @@ pub(crate) fn run(
     sink: &mut impl OutcomeSink,
 ) -> Result<(), SchedError> {
     let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut pending: HashMap<SimTime, usize> = HashMap::new();
+    let mut pending: FxHashMap<SimTime, usize> = FxHashMap::default();
     for (t, ev) in statics {
         let at = SimTime::from_secs_f64(t);
         q.push(at, ev);
