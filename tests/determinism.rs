@@ -367,6 +367,7 @@ fn ambient_state_does_not_leak_into_results() {
 
 mod golden {
     use cloudsim::prelude::*;
+    use cloudsim::sim_mpi::Background;
     use cloudsim::workloads::osu::OsuCollective;
 
     const GOLDEN_PATH: &str = "tests/golden_digests.txt";
@@ -416,6 +417,10 @@ mod golden {
         h.0
     }
 
+    /// A fault-free row family: label, workload, placement and co-tenant
+    /// sharers.
+    type Case = (&'static str, Box<dyn Workload>, Strategy, Option<f64>);
+
     /// The pinned matrix: every entry is (label, digest_sim, digest_ipm).
     fn compute_digests() -> Vec<(String, u64, u64)> {
         let mut out = Vec::new();
@@ -424,22 +429,42 @@ mod golden {
         // Fault-free, profiled, 8 seeds: CG, MetUM and an OSU collective
         // (exchanges and collectives only), then LU, MG and BT, whose eager
         // `Send`/`Recv` traffic drives the channel tables' deliver and
-        // receive paths (LU.S@16 matches on 128 channels per rank).
-        let workloads: Vec<(&str, Box<dyn Workload>)> = vec![
-            ("cg.S.np16", Box::new(Npb::new(Kernel::Cg, Class::S))),
-            ("metum.2ts.np16", Box::new(MetUm { timesteps: 2 })),
-            ("osu.allreduce4.np8", Box::new(OsuCollective::allreduce(4))),
-            ("lu.S.np16", Box::new(Npb::new(Kernel::Lu, Class::S))),
-            ("mg.S.np16", Box::new(Npb::new(Kernel::Mg, Class::S))),
-            ("bt.S.np16", Box::new(Npb::new(Kernel::Bt, Class::S))),
+        // receive paths (LU.S@16 matches on 128 channels per rank). The
+        // last three vary what a message's price depends on: SP's message
+        // sizes, LU spread over four nodes (neighbours move between intra-
+        // and inter-node routes) and CG with co-tenants degrading its
+        // inter-node fabric.
+        let plain = |label, w: Box<dyn Workload>| (label, w, Strategy::Block, None);
+        let workloads: Vec<Case> = vec![
+            plain("cg.S.np16", Box::new(Npb::new(Kernel::Cg, Class::S))),
+            plain("metum.2ts.np16", Box::new(MetUm { timesteps: 2 })),
+            plain("osu.allreduce4.np8", Box::new(OsuCollective::allreduce(4))),
+            plain("lu.S.np16", Box::new(Npb::new(Kernel::Lu, Class::S))),
+            plain("mg.S.np16", Box::new(Npb::new(Kernel::Mg, Class::S))),
+            plain("bt.S.np16", Box::new(Npb::new(Kernel::Bt, Class::S))),
+            plain("sp.S.np16", Box::new(Npb::new(Kernel::Sp, Class::S))),
+            (
+                "lu.S.np16+spread4",
+                Box::new(Npb::new(Kernel::Lu, Class::S)),
+                Strategy::Spread { nodes: 4 },
+                None,
+            ),
+            (
+                "cg.S.np16+bg3",
+                Box::new(Npb::new(Kernel::Cg, Class::S)),
+                Strategy::Block,
+                Some(3.0),
+            ),
         ];
-        for (label, w) in &workloads {
+        for (label, w, strategy, sharers) in &workloads {
             let np = if label.ends_with("np8") { 8 } else { 16 };
             let mut job = w.build(np);
             for c in &platforms {
                 for seed in 0..8u64 {
                     let cfg = SimConfig {
                         seed,
+                        strategy: *strategy,
+                        background: sharers.map(|s| Background::on_cluster(c, s)),
                         ..Default::default()
                     };
                     let (r, rep) = profile_run(&mut job, c, &cfg).unwrap();
@@ -463,19 +488,25 @@ mod golden {
         let vw = Verified::new(&w, VerifyPolicy::new(2, 1e6, 1 << 20));
         let ck = Checkpointed::new(&vw, CheckpointPolicy::new(5, 1 << 20));
         let mut job = ck.build(16);
+        // The preset's 30 s restart delay fills the 30 s horizon, so every
+        // `+restart` row relaunches exactly twice; the `+restart2s` family
+        // restarts after 2 s and pins chains of repeated recoveries.
         let strategies = [
-            ("", RecoveryStrategy::AbftRollback),
-            ("+restart", RecoveryStrategy::Restart),
+            ("", RecoveryStrategy::AbftRollback, None),
+            ("+restart", RecoveryStrategy::Restart, None),
             (
                 "+shrink",
                 RecoveryStrategy::ShrinkSpare {
                     spares: 4,
                     respawn_delay_secs: 0.05,
                 },
+                None,
             ),
+            ("+restart2s", RecoveryStrategy::Restart, Some(2.0)),
         ];
-        for (family, recovery) in strategies {
+        for (family, recovery, restart_delay) in strategies {
             let mut shrinks = 0;
+            let mut max_restarts = 0;
             for c in &platforms {
                 let preset = FaultSpec::preset_for(c);
                 let spec = FaultSpec {
@@ -485,6 +516,7 @@ mod golden {
                         .with_rates_scaled(3600.0 * 500.0)
                         .with_sdc(3600.0 * 200.0, 1.0),
                     horizon_secs: 30.0,
+                    restart_delay_secs: restart_delay.unwrap_or(preset.restart_delay_secs),
                     recovery,
                     // Generous budget: crash windows at x500 scale must
                     // stall, not abort, so the digests cover long retry
@@ -514,8 +546,15 @@ mod golden {
                         );
                     }
                     shrinks += r.shrinks;
+                    max_restarts = max_restarts.max(r.restarts);
                     out.push((label, digest_result(&r), digest_report(&rep)));
                 }
+            }
+            if restart_delay.is_some() {
+                assert!(
+                    max_restarts > 2,
+                    "the {family} family never relaunched more than twice"
+                );
             }
             // Most DCC seeds fault before the first verified cut, so their
             // shrink rows fall back to restarts (pinning that fallback);
@@ -532,7 +571,8 @@ mod golden {
             "# Golden SimResult + IPM digests: CG, MetUM, OSU and faulted CG under ABFT rollback \
              recorded with the pre-optimization engine, LU, MG and BT with the linear-scan \
              channel tables, faulted CG under restart and shrink+spare with the two-path \
-             recovery engine.\n\
+             recovery engine, SP, spread LU, contended CG and 2 s restarts with the engine \
+             that prices every message afresh.\n\
              # label\tsim_digest\tipm_digest\n",
         );
         for (label, sim, ipm) in digests {
