@@ -92,12 +92,6 @@ impl SimDur {
     pub fn saturating_sub(self, other: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(other.0))
     }
-
-    /// Scale the span by a non-negative factor.
-    pub fn scale(self, factor: f64) -> SimDur {
-        debug_assert!(factor >= 0.0, "negative scale factor {factor}");
-        SimDur((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 /// Nanoseconds in `s` seconds, rounded to the nearest; non-positive and
@@ -308,12 +302,5 @@ mod tests {
             let s = rng.uniform() * 1e7;
             assert_eq!(secs_to_ns(s), round_reference(s), "s = {s:e}");
         }
-    }
-
-    #[test]
-    fn scale_rounds() {
-        let d = SimDur::from_nanos(100);
-        assert_eq!(d.scale(2.5), SimDur::from_nanos(250));
-        assert_eq!(d.scale(0.0), SimDur::ZERO);
     }
 }

@@ -26,8 +26,11 @@
 //! | BT.S, SP.S (16 and 64 ranks)               | 3 eager            | 48–192 |
 //! | EP, FT, IS, OSU allreduce                  | 0                  | 0      |
 //!
-//! No workload posts an `Irecv`. Matching never iterates a map, so hash
-//! order cannot reach a result; FIFO order within each channel is the
+//! No workload posts an `Irecv`. The engine counts the receives queued in
+//! its irecv table and probes that table only while an `Irecv` is
+//! pending, so a delivery costs one lookup, in the eager table, unless the
+//! program posts non-blocking receives. Matching never iterates a map, so
+//! hash order cannot reach a result; FIFO order within each channel is the
 //! `VecDeque`'s.
 
 use crate::op::{Rank, Tag};

@@ -23,9 +23,10 @@ use crate::prof::{IoKind, MpiKind, ProfEvent, ProfSink};
 use crate::result::{RankTotals, SimResult};
 use sim_des::{DetRng, EventQueue, FxHashMap, SimDur, SimTime};
 use sim_faults::{FaultSchedule, FaultSpec, RecoveryStrategy, RetryPolicy};
-use sim_net::{cost, ContentionParams, FabricParams, SerialResource};
+use sim_net::{cost, ContentionParams, FabricParams, JitterParams, Route, SerialResource};
 use sim_platform::{ClusterSpec, Placement, PlacementError, RankRates, Strategy};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 
 /// Errors a simulation can produce.
 #[derive(Debug)]
@@ -206,9 +207,81 @@ impl RankState {
 struct EagerMsg {
     arrival: SimTime,
     bytes: usize,
-    /// Receive-side occupancy (seconds) computed from the route's fabric at
-    /// send time.
-    recv_occ: f64,
+    /// Receive-side occupancy, priced from the route's fabric at send time.
+    recv_occ: SimDur,
+}
+
+/// What one point-to-point message costs on its route: every LogGP term
+/// the engine charges, as a function of (sender, receiver, bytes) and the
+/// fabric the route sees. Each term is rounded, or summed before rounding,
+/// exactly as the send and exchange paths charge it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Price<'a> {
+    /// Sender CPU occupancy, scaled by the sender's CPU factor.
+    occ: SimDur,
+    /// Serialization on the wire.
+    wire: SimDur,
+    /// `occ + wire`, summed in seconds and then rounded: an intra-node
+    /// exchange half's departure-to-delivery span. Zero on an inter-node
+    /// route, where the NIC serializes the wire time instead.
+    occ_wire: SimDur,
+    /// Fabric latency plus the route's extra hops (seconds).
+    lat: f64,
+    /// Rendezvous handshake (seconds); zero for an eager payload.
+    rndv: f64,
+    /// Receive occupancy in seconds, unscaled: an exchange scales it by
+    /// the slower endpoint's CPU factor.
+    recv: f64,
+    /// `recv` scaled by the receiver's CPU factor and rounded.
+    recv_occ: SimDur,
+    /// The route's jitter model. NIC degradation leaves it unchanged.
+    jitter: &'a JitterParams,
+    /// Whether the route leaves the node (the sender's NIC serializes).
+    inter_node: bool,
+}
+
+impl<'a> Price<'a> {
+    /// Price a `bytes` message on `route`, whose fabric the message sees as
+    /// `fabric`, between ranks with CPU factors `cf_s` and `cf_d`.
+    fn new(route: &Route<'a>, fabric: &FabricParams, bytes: usize, cf_s: f64, cf_d: f64) -> Self {
+        let occ = cost::send_occupancy(fabric, bytes) * cf_s;
+        let wire = cost::wire_time(fabric, bytes);
+        let recv = cost::recv_occupancy(fabric, bytes);
+        Price {
+            occ: SimDur::from_secs_f64(occ),
+            wire: SimDur::from_secs_f64(wire),
+            occ_wire: if route.inter_node {
+                SimDur::ZERO
+            } else {
+                SimDur::from_secs_f64(occ + wire)
+            },
+            lat: fabric.latency + route.extra_latency,
+            rndv: if bytes > fabric.eager_threshold {
+                fabric.rendezvous_overhead
+            } else {
+                0.0
+            },
+            recv,
+            recv_occ: SimDur::from_secs_f64(recv * cf_d),
+            jitter: &route.fabric.jitter,
+            inter_node: route.inter_node,
+        }
+    }
+}
+
+/// Slots in each rank's price table. Direct-mapped: a hashed
+/// (receiver, bytes) key picks one slot, and a miss overwrites it.
+const PRICE_SLOTS: usize = 16;
+
+/// The price-table slot of a message to `d` carrying `bytes`. A rank's
+/// neighbours differ in the low bits of their numbers, so those index the
+/// slot directly, with the next bits folded in to keep `d` and `d ± 16`
+/// apart; a Fibonacci hash of the size spreads a neighbour's several
+/// payloads over the table.
+fn price_slot(d: usize, bytes: usize) -> usize {
+    let bits = PRICE_SLOTS.trailing_zeros();
+    let size = (bytes as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits);
+    (d ^ (d >> bits) ^ size as usize) % PRICE_SLOTS
 }
 
 /// State of a non-blocking request on its owning rank.
@@ -431,6 +504,13 @@ struct Engine<'a> {
     /// Posted-but-unmatched non-blocking receives, FIFO per channel,
     /// indexed by destination rank.
     irecvs: ChannelTable<(usize, ReqId, SimTime)>,
+    /// Receives queued in `irecvs`; `deliver` probes that table only while
+    /// this is non-zero.
+    irecvs_pending: usize,
+    /// Per-rank tables of undegraded prices, `PRICE_SLOTS` slots per
+    /// sender, each holding the receiver, payload and price of the last
+    /// message priced there.
+    prices: Vec<Option<(Rank, usize, Price<'a>)>>,
     /// First-arrived halves of exchanges, FIFO per unordered pair + tag,
     /// indexed by the lower rank of the pair.
     exchanges: ChannelTable<ExchangeArrival>,
@@ -447,7 +527,7 @@ struct Engine<'a> {
     /// service it inline when nothing else can intervene.
     cur: usize,
     /// Whether `cur` became ready again during its step with the push
-    /// deferred.
+    /// deferred and not yet flushed.
     cur_ready: bool,
     /// Whether deferral is allowed at all: only on fault-free runs, where
     /// no fatal-fault check has to run between steps.
@@ -570,6 +650,8 @@ impl<'a> Engine<'a> {
             ready,
             eager: ChannelTable::new(np),
             irecvs: ChannelTable::new(np),
+            irecvs_pending: 0,
+            prices: vec![None; np * PRICE_SLOTS],
             exchanges: ChannelTable::new(np),
             colls: FxHashMap::default(),
             world_layout,
@@ -624,7 +706,8 @@ impl<'a> Engine<'a> {
             // can be scheduled in between — service it inline and skip the
             // heap round-trip. Ties go through the heap so the (time, seq)
             // FIFO order — and therefore every tie-broken interaction — is
-            // bit-identical to the slow path.
+            // bit-identical to the slow path; ranks the step itself readied
+            // at or before this clock already flushed it (`make_ready`).
             while self.cur_ready {
                 self.cur_ready = false;
                 let clock = self.ranks[r].clock;
@@ -682,33 +765,10 @@ impl<'a> Engine<'a> {
         a.sched.fatals().get(a.next_fatal).copied()
     }
 
-    /// Fault factor for fabric costs between two nodes at `t` (>= 1.0).
-    fn net_fault_factor(&self, node_a: usize, node_b: usize, t: SimTime) -> f64 {
-        self.fault_factor(|s| s.net_factor(node_a, t).max(s.net_factor(node_b, t)))
-    }
-
     /// A fault-schedule cost factor (>= 1.0) on a faulted run; exactly 1.0
     /// on a fault-free one, where multiplying by it is a bitwise identity.
     fn fault_factor(&self, factor: impl FnOnce(&FaultSchedule) -> f64) -> f64 {
         self.faults.as_ref().map_or(1.0, |a| factor(&a.sched))
-    }
-
-    /// `fabric` as traffic between two nodes sees it at `t`: NIC
-    /// degradation on either endpoint inflates every LogGP term. Borrowed
-    /// unchanged when no degradation applies.
-    fn nic_fabric<'f>(
-        &self,
-        fabric: &'f FabricParams,
-        node_a: usize,
-        node_b: usize,
-        t: SimTime,
-    ) -> Cow<'f, FabricParams> {
-        let ff = self.net_fault_factor(node_a, node_b, t);
-        if ff > 1.0 {
-            Cow::Owned(fabric.degraded(ff))
-        } else {
-            Cow::Borrowed(fabric)
-        }
     }
 
     /// Recovery dispatch for a fatal fault or a detected corruption at
@@ -781,6 +841,7 @@ impl<'a> Engine<'a> {
         let np = self.meta.np;
         self.eager.clear();
         self.irecvs.clear();
+        self.irecvs_pending = 0;
         self.exchanges.clear();
         self.colls.clear();
         self.cut_open.iter_mut().for_each(SeqBarrier::clear);
@@ -959,30 +1020,30 @@ impl<'a> Engine<'a> {
     /// the run loop is currently stepping (and the run is fault-free), the
     /// heap push is deferred: the loop re-steps it inline unless another
     /// rank could legally run first.
+    ///
+    /// Flush rule: readying another rank at or before the deferred rank's
+    /// clock first pushes the deferred rank. The undeferred engine pushed
+    /// it earlier, so where the two could tie it keeps the lower sequence
+    /// number, and the heap pops in exactly the undeferred `(time, seq)`
+    /// order. A rank readied strictly later cannot tie with it, so the
+    /// deferral stands.
     fn make_ready(&mut self, r: usize) {
         let st = &mut self.ranks[r];
         st.status = Status::Ready;
         st.gen += 1;
+        let (clock, gen) = (st.clock, st.gen);
         if self.defer_ok && r == self.cur {
             self.cur_ready = true;
-        } else {
-            self.ready.push(st.clock, (r, st.gen));
+            return;
         }
-    }
-
-    /// Mark a rank ready and always push it onto the heap, even when it is
-    /// the currently stepped rank. Used where a peer becomes ready at the
-    /// *same instant* as the stepped rank (send completion, exchange
-    /// completion): both must go through the heap so the (time, seq) FIFO
-    /// order between them matches the unoptimized engine exactly.
-    fn push_ready(&mut self, r: usize) {
-        let st = &mut self.ranks[r];
-        st.status = Status::Ready;
-        st.gen += 1;
-        self.ready.push(st.clock, (r, st.gen));
-        if r == self.cur {
-            self.cur_ready = false;
+        if self.cur_ready {
+            let cur = &self.ranks[self.cur];
+            if clock <= cur.clock {
+                self.ready.push(cur.clock, (self.cur, cur.gen));
+                self.cur_ready = false;
+            }
         }
+        self.ready.push(clock, (r, gen));
     }
 
     fn step(&mut self, r: usize, sink: &mut dyn ProfSink) -> Result<(), SimError> {
@@ -1191,40 +1252,96 @@ impl<'a> Engine<'a> {
         self.make_ready(r);
     }
 
-    fn do_send(&mut self, s: usize, d: usize, bytes: usize, tag: Tag, sink: &mut dyn ProfSink) {
-        let route = self
-            .cluster
+    /// The price of a `bytes` message from `s` to `d` sent at `t`. Every
+    /// term depends on (s, d, bytes) alone: the route and fabric are fixed
+    /// by the placement, the CPU factors by the rates. The one exception
+    /// is NIC degradation on a faulted run, which depends on `t`.
+    fn price(&mut self, s: usize, d: usize, bytes: usize, t: SimTime) -> Price<'a> {
+        let ff = self.nic_factor(s, d, t);
+        if ff > 1.0 {
+            return self.price_on(s, d, bytes, ff);
+        }
+        self.table_price(s, d, bytes)
+    }
+
+    /// The undegraded price of a `bytes` message from `s` to `d`, from
+    /// `s`'s table: priced once per combination, read back on every later
+    /// message until another combination takes its slot.
+    fn table_price(&mut self, s: usize, d: usize, bytes: usize) -> Price<'a> {
+        let i = s * PRICE_SLOTS + price_slot(d, bytes);
+        if let Some((to, b, price)) = self.prices[i] {
+            if to == d as Rank && b == bytes {
+                debug_assert_eq!(price, self.price_on(s, d, bytes, 1.0));
+                return price;
+            }
+        }
+        let price = self.price_on(s, d, bytes, 1.0);
+        self.prices[i] = Some((d as Rank, bytes, price));
+        price
+    }
+
+    /// NIC degradation on either rank's node at `t`, which inflates every
+    /// LogGP term between them: at least 1.0, exactly 1.0 on a fault-free
+    /// run.
+    fn nic_factor(&self, a: usize, b: usize, t: SimTime) -> f64 {
+        let (na, nb) = (self.rates[a].node, self.rates[b].node);
+        self.fault_factor(|s| s.net_factor(na, t).max(s.net_factor(nb, t)))
+    }
+
+    /// Price a message from scratch, on its route's fabric with every LogGP
+    /// term inflated by the NIC degradation factor `ff` (1.0 for none).
+    fn price_on(&self, s: usize, d: usize, bytes: usize, ff: f64) -> Price<'a> {
+        let cluster: &'a ClusterSpec = self.cluster;
+        let route = cluster
             .topology
             .route(self.rates[s].node, self.rates[d].node);
+        let fabric = if ff > 1.0 {
+            Cow::Owned(route.fabric.degraded(ff))
+        } else {
+            Cow::Borrowed(route.fabric)
+        };
+        let (cf_s, cf_d) = (self.cpu_factor[s], self.cpu_factor[d]);
+        Price::new(&route, &fabric, bytes, cf_s, cf_d)
+    }
+
+    /// The prices of an exchange's halves at `t`: `r` sending `rb` bytes to
+    /// `o`, and `o` sending `ob` bytes back. The halves share one route, so
+    /// the degradation factor is looked up once for both.
+    fn exchange_prices(
+        &mut self,
+        r: usize,
+        o: usize,
+        rb: usize,
+        ob: usize,
+        t: SimTime,
+    ) -> (Price<'a>, Price<'a>) {
+        let ff = self.nic_factor(r, o, t);
+        if ff > 1.0 {
+            return (self.price_on(r, o, rb, ff), self.price_on(o, r, ob, ff));
+        }
+        (self.table_price(r, o, rb), self.table_price(o, r, ob))
+    }
+
+    fn do_send(&mut self, s: usize, d: usize, bytes: usize, tag: Tag, sink: &mut dyn ProfSink) {
         let start = self.ranks[s].clock;
-        let fabric = self.nic_fabric(route.fabric, self.rates[s].node, self.rates[d].node, start);
-        let fabric = &*fabric;
+        let p = self.price(s, d, bytes, start);
         // All sends are non-blocking: the sender pays its CPU occupancy and
         // proceeds while the NIC drains the payload. Payloads over the eager
         // threshold pay the rendezvous handshake as extra delivery latency —
         // real MPI overlaps rendezvous transfers the same way once receive
         // buffers are pre-posted, which every workload in the study does.
-        let occ = SimDur::from_secs_f64(cost::send_occupancy(fabric, bytes) * self.cpu_factor[s]);
-        let depart = start + occ;
-        let wire_end = if route.inter_node {
-            let wire = SimDur::from_secs_f64(cost::wire_time(fabric, bytes));
-            let (_, end) = self.nics[self.rates[s].node].acquire(depart, wire);
+        let depart = start + p.occ;
+        let wire_end = if p.inter_node {
+            let (_, end) = self.nics[self.rates[s].node].acquire(depart, p.wire);
             end
         } else {
-            depart + SimDur::from_secs_f64(cost::wire_time(fabric, bytes))
+            depart + p.wire
         };
-        let rndv_extra = if bytes > fabric.eager_threshold {
-            fabric.rendezvous_overhead
-        } else {
-            0.0
-        };
-        let jitter = fabric.jitter.sample(&mut self.ranks[s].rng);
-        let arrival = wire_end
-            + SimDur::from_secs_f64(fabric.latency + route.extra_latency + rndv_extra + jitter);
-        let recv_occ = cost::recv_occupancy(fabric, bytes) * self.cpu_factor[d];
+        let jitter = p.jitter.sample(&mut self.ranks[s].rng);
+        let arrival = wire_end + SimDur::from_secs_f64(p.lat + p.rndv + jitter);
         let st = &mut self.ranks[s];
         st.clock = depart;
-        st.comm += occ;
+        st.comm += p.occ;
         if self.prof_on {
             sink.on_event(
                 s,
@@ -1236,10 +1353,7 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        // Through the heap, not deferred: deliver() below may ready the
-        // receiver at the same instant, and the sender must keep the lower
-        // heap sequence number exactly as in the undeferred engine.
-        self.push_ready(s);
+        self.make_ready(s);
         self.deliver(
             s as Rank,
             d as Rank,
@@ -1247,7 +1361,7 @@ impl<'a> Engine<'a> {
             EagerMsg {
                 arrival,
                 bytes,
-                recv_occ,
+                recv_occ: p.recv_occ,
             },
             sink,
         );
@@ -1257,10 +1371,15 @@ impl<'a> Engine<'a> {
         let dr = d as usize;
         // Pre-posted non-blocking receives match first (they were posted
         // before the receiver could have blocked on the same channel).
-        if let Some(q) = self.irecvs.get_mut(dr, s, tag) {
-            if let Some((rank, req, posted)) = q.pop_front() {
+        if self.irecvs_pending > 0 {
+            if let Some((rank, req, posted)) = self
+                .irecvs
+                .get_mut(dr, s, tag)
+                .and_then(VecDeque::pop_front)
+            {
+                self.irecvs_pending -= 1;
                 debug_assert_eq!(rank, dr);
-                let complete_at = posted.max(msg.arrival) + SimDur::from_secs_f64(msg.recv_occ);
+                let complete_at = posted.max(msg.arrival) + msg.recv_occ;
                 self.fulfil_request(
                     rank,
                     req,
@@ -1291,8 +1410,7 @@ impl<'a> Engine<'a> {
     }
 
     fn complete_recv(&mut self, d: usize, posted: SimTime, msg: EagerMsg, sink: &mut dyn ProfSink) {
-        let occ = msg.recv_occ;
-        let end = posted.max(msg.arrival) + SimDur::from_secs_f64(occ);
+        let end = posted.max(msg.arrival) + msg.recv_occ;
         let st = &mut self.ranks[d];
         let wait = end.since(posted);
         st.clock = end;
@@ -1372,7 +1490,7 @@ impl<'a> Engine<'a> {
             .get_mut(d, s as Rank, tag)
             .and_then(|q| q.pop_front())
         {
-            let complete_at = posted.max(msg.arrival) + SimDur::from_secs_f64(msg.recv_occ);
+            let complete_at = posted.max(msg.arrival) + msg.recv_occ;
             self.ranks[d].requests.insert(
                 req,
                 ReqState::Done {
@@ -1385,6 +1503,7 @@ impl<'a> Engine<'a> {
             self.irecvs
                 .queue_mut(d, s as Rank, tag)
                 .push_back((d, req, posted));
+            self.irecvs_pending += 1;
             self.ranks[d].requests.insert(req, ReqState::RecvPending)
         };
         if prev.is_some() {
@@ -1503,44 +1622,32 @@ impl<'a> Engine<'a> {
                     "rank {r}: exchange tag {tag} paired with rank {o}, expected {partner}"
                 )));
             }
-            let route = self
-                .cluster
-                .topology
-                .route(self.rates[r].node, self.rates[o].node);
             let start = entry.max(other.entry);
-            let fabric =
-                self.nic_fabric(route.fabric, self.rates[r].node, self.rates[o].node, start);
-            let fabric = &*fabric;
-            let occ_r = cost::send_occupancy(fabric, send_bytes) * self.cpu_factor[r];
-            let occ_o = cost::send_occupancy(fabric, other.send_bytes) * self.cpu_factor[o];
-            let (end_r_wire, end_o_wire) = if route.inter_node {
-                let wr = SimDur::from_secs_f64(cost::wire_time(fabric, send_bytes));
-                let wo = SimDur::from_secs_f64(cost::wire_time(fabric, other.send_bytes));
-                let (_, er) =
-                    self.nics[self.rates[r].node].acquire(start + SimDur::from_secs_f64(occ_r), wr);
-                let (_, eo) =
-                    self.nics[self.rates[o].node].acquire(start + SimDur::from_secs_f64(occ_o), wo);
+            let (pr, po) = self.exchange_prices(r, o, send_bytes, other.send_bytes, start);
+            let (end_r_wire, end_o_wire) = if pr.inter_node {
+                let (_, er) = self.nics[self.rates[r].node].acquire(start + pr.occ, pr.wire);
+                let (_, eo) = self.nics[self.rates[o].node].acquire(start + po.occ, po.wire);
                 (er, eo)
             } else {
-                (
-                    start + SimDur::from_secs_f64(occ_r + cost::wire_time(fabric, send_bytes)),
-                    start
-                        + SimDur::from_secs_f64(occ_o + cost::wire_time(fabric, other.send_bytes)),
-                )
+                (start + pr.occ_wire, start + po.occ_wire)
             };
-            let jitter = fabric.jitter.sample(&mut self.ranks[lo as usize].rng);
-            let rndv = if send_bytes.max(other.send_bytes) > fabric.eager_threshold {
-                fabric.rendezvous_overhead
+            let jitter = pr.jitter.sample(&mut self.ranks[lo as usize].rng);
+            // Both directions share one route, so the two prices agree on
+            // every fabric term: the larger payload's handshake applies, and
+            // the receive side is charged for the larger of what `r` expects
+            // and what `o` sends.
+            let rndv = if send_bytes >= other.send_bytes {
+                pr.rndv
             } else {
-                0.0
+                po.rndv
+            };
+            let recv = if recv_bytes <= other.send_bytes {
+                po.recv
+            } else {
+                self.price(o, r, recv_bytes, start).recv
             };
             let tail = SimDur::from_secs_f64(
-                fabric.latency
-                    + route.extra_latency
-                    + jitter
-                    + rndv
-                    + cost::recv_occupancy(fabric, recv_bytes.max(other.send_bytes))
-                        * self.cpu_factor[r].max(self.cpu_factor[o]),
+                pr.lat + jitter + rndv + recv * self.cpu_factor[r].max(self.cpu_factor[o]),
             );
             let end = end_r_wire.max(end_o_wire) + tail;
             for (who, t_entry, b) in [
@@ -1561,10 +1668,9 @@ impl<'a> Engine<'a> {
                         },
                     );
                 }
-                // Both endpoints land at the same instant `end`; push both
-                // through the heap so their FIFO order stays the
-                // unoptimized engine's (stepped rank first, partner next).
-                self.push_ready(who);
+                // Both endpoints land at the same instant `end`: readying
+                // the partner flushes the stepped rank first.
+                self.make_ready(who);
             }
         } else {
             q.push_back(ExchangeArrival {
@@ -2763,6 +2869,108 @@ mod engine_tests {
         assert_eq!(r.restarts, 0);
         // The run itself is unperturbed: corruption is *silent*.
         assert!((r.elapsed_secs() - t0).abs() < 1e-9);
+    }
+
+    /// A profile sink that records every event in emission order.
+    #[derive(Default)]
+    struct Recorder(Vec<(usize, ProfEvent)>);
+
+    impl ProfSink for Recorder {
+        fn on_event(&mut self, rank: usize, ev: ProfEvent) {
+            self.0.push((rank, ev));
+        }
+    }
+
+    /// Run `job` fault-free at `seed` with deferral on or off, recording
+    /// its profile events.
+    fn run_deferred(
+        job: &mut JobSpec,
+        cluster: &ClusterSpec,
+        seed: u64,
+        defer: bool,
+    ) -> (SimResult, Vec<(usize, ProfEvent)>) {
+        let cfg = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        let placement = cluster.place(job.np(), cfg.strategy).unwrap();
+        let rates = cluster.rank_rates(&placement);
+        job.rewind();
+        let mut engine = Engine::new(&job.meta, &mut job.sources, cluster, placement, rates, &cfg);
+        engine.defer_ok = defer;
+        let mut rec = Recorder::default();
+        let res = engine.run(&mut rec).unwrap();
+        (res, rec.0)
+    }
+
+    /// An NPB job from `workloads`, whose generators link the non-test
+    /// build of this crate, with its ops copied into this build's types.
+    /// Covers the ops LU and CG emit.
+    fn npb_job(kernel: workloads::Kernel) -> JobSpec {
+        use sim_mpi::{CollOp as XColl, Op as X};
+        use workloads::Workload;
+        let mut job = workloads::Npb::new(kernel, workloads::Class::S).build(16);
+        let local = |op: X| match op {
+            X::Compute { flops, bytes } => Op::Compute { flops, bytes },
+            X::Send { to, bytes, tag } => Op::Send { to, bytes, tag },
+            X::Recv { from, bytes, tag } => Op::Recv { from, bytes, tag },
+            X::Exchange {
+                partner,
+                send_bytes,
+                recv_bytes,
+                tag,
+            } => Op::Exchange {
+                partner,
+                send_bytes,
+                recv_bytes,
+                tag,
+            },
+            X::Coll(XColl::Allreduce { bytes }) => Op::Coll(CollOp::Allreduce { bytes }),
+            X::Coll(XColl::Barrier) => Op::Coll(CollOp::Barrier),
+            X::SectionEnter(id) => Op::SectionEnter(id),
+            X::SectionExit(id) => Op::SectionExit(id),
+            other => panic!("no copy for {other:?}"),
+        };
+        let programs = job
+            .materialized_copy()
+            .into_iter()
+            .map(|p| p.into_iter().map(local).collect())
+            .collect();
+        JobSpec::from_programs(
+            job.meta.name.clone(),
+            programs,
+            job.meta.section_names.clone(),
+        )
+    }
+
+    /// Deferral is unobservable: with it forced off every readied rank
+    /// goes through the heap, and the fuzz scripts, LU.S@16 and CG.S@16
+    /// must give the same results and the same profile events, in the
+    /// same order, on every platform. A broken flush rule reorders ties.
+    #[test]
+    fn deferral_matches_the_undeferred_engine() {
+        let mut jobs: Vec<(String, JobSpec, u64)> = Vec::new();
+        for stream in crate::fuzz::STREAMS {
+            for case in 0..crate::fuzz::CASES {
+                let (job, seed) = crate::fuzz::script_job(stream, case);
+                jobs.push((format!("fuzz {stream:#x} case {case}"), job, seed));
+            }
+        }
+        for kernel in [workloads::Kernel::Lu, workloads::Kernel::Cg] {
+            let job = npb_job(kernel);
+            jobs.push((job.meta.name.to_string(), job, SimConfig::default().seed));
+        }
+        for (label, job, seed) in &mut jobs {
+            for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
+                let ctx = format!("{label} on {}", cluster.name);
+                let (off, off_events) = run_deferred(job, &cluster, *seed, false);
+                let (on, on_events) = run_deferred(job, &cluster, *seed, true);
+                assert_eq!(off, on, "{ctx}");
+                assert_eq!(off_events.len(), on_events.len(), "{ctx}");
+                let first = off_events.iter().zip(&on_events).position(|(a, b)| a != b);
+                assert_eq!(first, None, "{ctx}: first differing event");
+            }
+        }
     }
 
     #[test]

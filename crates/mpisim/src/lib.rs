@@ -1149,17 +1149,29 @@ mod fuzz {
         JobSpec::from_programs("fuzz", programs, vec![])
     }
 
+    /// Fault-free and faulted fuzz streams: the first seed of each
+    /// script's generator.
+    pub(crate) const STREAMS: [u64; 2] = [0xF022_0001, 0xF022_0002];
+
+    /// Scripts per stream.
+    pub(crate) const CASES: u64 = 48;
+
+    /// Script `case` of `stream`: 2 to 6 ranks, 1 to 39 actions, compiled
+    /// to a job, and the seed to run it with.
+    pub(crate) fn script_job(stream: u64, case: u64) -> (JobSpec, u64) {
+        let mut rng = DetRng::new(stream, case);
+        let np = 2 + rng.index(5) as u8;
+        let len = 1 + rng.index(39);
+        let script: Vec<Action> = (0..len).map(|_| gen_action(&mut rng, np)).collect();
+        (compile(np, &script), rng.next_u64())
+    }
+
     /// Any script-generated program validates, runs to completion on
     /// every platform, is deterministic, and conserves per-rank time.
     #[test]
     fn random_programs_run_everywhere() {
-        for case in 0..48u64 {
-            let mut rng = DetRng::new(0xF022_0001, case);
-            let np = 2 + rng.index(5) as u8;
-            let len = 1 + rng.index(39);
-            let script: Vec<Action> = (0..len).map(|_| gen_action(&mut rng, np)).collect();
-            let seed = rng.next_u64();
-            let mut job = compile(np, &script);
+        for case in 0..CASES {
+            let (mut job, seed) = script_job(STREAMS[0], case);
             let v = job.validate();
             assert!(v.is_ok(), "case {case}: {v:?}");
             for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
@@ -1197,13 +1209,8 @@ mod fuzz {
         use sim_faults::{FaultModel, FaultSpec, RecoveryStrategy, RetryPolicy};
         // Totals over all runs: the fuzz must reach every recovery path.
         let (mut restarts, mut rollbacks, mut shrinks, mut detected) = (0, 0, 0, 0);
-        for case in 0..48u64 {
-            let mut rng = DetRng::new(0xF022_0002, case);
-            let np = 2 + rng.index(5) as u8;
-            let len = 1 + rng.index(39);
-            let script: Vec<Action> = (0..len).map(|_| gen_action(&mut rng, np)).collect();
-            let seed = rng.next_u64();
-            let mut job = compile(np, &script);
+        for case in 0..CASES {
+            let (mut job, seed) = script_job(STREAMS[1], case);
             for cluster in [presets::vayu(), presets::dcc(), presets::ec2()] {
                 let plain = SimConfig {
                     seed,

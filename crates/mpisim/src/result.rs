@@ -32,7 +32,7 @@ impl RankTotals {
 }
 
 /// Outcome of one simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Workload name, shared by refcount with the job's [`crate::JobMeta`]
     /// (deref-coerces to `&str` wherever consumers want one).
