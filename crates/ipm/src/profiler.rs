@@ -4,7 +4,7 @@
 //! per-region wallclock, communication and compute split).
 
 use sim_des::{FxHashMap, SimTime};
-use sim_mpi::{JobMeta, MpiKind, ProfEvent, ProfSink, SectionId};
+use sim_mpi::{Column, JobMeta, MpiKind, ProfEvent, ProfSink, SectionId};
 
 /// Aggregate for one (MPI call, size bucket) cell — IPM's call hash.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -43,10 +43,19 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    fn add_mpi(&mut self, kind: MpiKind, bytes: u64, secs: f64) {
-        self.comm += secs;
-        let bucket = size_bucket(bytes);
-        let agg = self.calls.entry((kind, bucket)).or_default();
+    /// The column a span charged to `column` adds to.
+    fn column_mut(&mut self, column: Column) -> &mut f64 {
+        match column {
+            Column::Comp => &mut self.comp,
+            Column::Comm => &mut self.comm,
+            Column::Io => &mut self.io,
+            Column::Fault => &mut self.fault,
+        }
+    }
+
+    /// Count one MPI call of `secs` in the call hash.
+    fn add_call(&mut self, kind: MpiKind, bytes: u64, secs: f64) {
+        let agg = self.calls.entry((kind, size_bucket(bytes))).or_default();
         agg.count += 1;
         agg.time += secs;
         agg.bytes += bytes;
@@ -71,28 +80,20 @@ pub fn bucket_floor(bucket: u8) -> u64 {
     }
 }
 
+/// One rank's ledgers, plus the sections open while the run goes on.
 #[derive(Debug, Clone)]
 struct RankProf {
     stack: Vec<(SectionId, SimTime)>,
     global: Ledger,
     sections: Vec<Ledger>,
-    last_event: SimTime,
 }
 
 /// IPM-style profiler; feed it to [`sim_mpi::run_job`], then call
 /// [`crate::report::IpmReport::from_profiler`].
 #[derive(Debug, Clone)]
 pub struct IpmProfiler {
-    pub(crate) section_names: Vec<&'static str>,
-    pub(crate) ranks: Vec<RankProfPublic>,
-}
-
-/// Public view of one rank's profile.
-#[derive(Debug, Clone)]
-pub struct RankProfPublic {
-    pub global: Ledger,
-    pub sections: Vec<Ledger>,
-    pub last_event: SimTime,
+    section_names: Vec<&'static str>,
+    ranks: Vec<RankProf>,
 }
 
 /// Builder state while the simulation runs.
@@ -115,7 +116,6 @@ impl IpmCollector {
                     stack: Vec::new(),
                     global: Ledger::default(),
                     sections: vec![Ledger::default(); nsec],
-                    last_event: SimTime::ZERO,
                 })
                 .collect(),
         }
@@ -123,23 +123,13 @@ impl IpmCollector {
 
     /// Consume the collector once the run finishes.
     pub fn finish(self) -> IpmProfiler {
+        assert!(
+            self.ranks.iter().all(|r| r.stack.is_empty()),
+            "unbalanced sections left open at end of run"
+        );
         IpmProfiler {
             section_names: self.section_names,
-            ranks: self
-                .ranks
-                .into_iter()
-                .map(|r| {
-                    assert!(
-                        r.stack.is_empty(),
-                        "unbalanced sections left open at end of run"
-                    );
-                    RankProfPublic {
-                        global: r.global,
-                        sections: r.sections,
-                        last_event: r.last_event,
-                    }
-                })
-                .collect(),
+            ranks: self.ranks,
         }
     }
 
@@ -155,10 +145,7 @@ impl IpmCollector {
 impl ProfSink for IpmCollector {
     fn on_event(&mut self, rank: usize, ev: ProfEvent) {
         match ev {
-            ProfEvent::SectionEnter { id, t } => {
-                self.ranks[rank].stack.push((id, t));
-                self.ranks[rank].last_event = t;
-            }
+            ProfEvent::SectionEnter { id, t } => self.ranks[rank].stack.push((id, t)),
             ProfEvent::SectionExit { id, t } => {
                 let (open_id, entered) = self.ranks[rank]
                     .stack
@@ -166,60 +153,12 @@ impl ProfSink for IpmCollector {
                     .expect("section exit without enter");
                 assert_eq!(open_id, id, "mismatched section nesting");
                 self.ranks[rank].sections[id as usize].wall += t.since(entered).as_secs_f64();
-                self.ranks[rank].last_event = t;
             }
-            ProfEvent::Compute { start, end } => {
-                let d = end.since(start).as_secs_f64();
-                self.attribute(rank, |l| l.comp += d);
-                let rp = &mut self.ranks[rank];
-                rp.global.wall = end.since(SimTime::ZERO).as_secs_f64();
-                rp.last_event = end;
-            }
-            ProfEvent::Mpi {
-                kind,
-                bytes,
-                start,
-                end,
-            } => {
-                let d = end.since(start).as_secs_f64();
-                self.attribute(rank, |l| l.add_mpi(kind, bytes, d));
-                let rp = &mut self.ranks[rank];
-                rp.global.wall = end.since(SimTime::ZERO).as_secs_f64();
-                rp.last_event = end;
-            }
-            ProfEvent::Io {
-                bytes: _,
-                kind: _,
-                start,
-                end,
-            } => {
-                let d = end.since(start).as_secs_f64();
-                self.attribute(rank, |l| l.io += d);
-                let rp = &mut self.ranks[rank];
-                rp.global.wall = end.since(SimTime::ZERO).as_secs_f64();
-                rp.last_event = end;
-            }
-            ProfEvent::Fault { start, end } => {
-                // A transient stall charges the open section like any other
-                // timed activity — the section was live while the node hung.
-                let d = end.since(start).as_secs_f64();
-                self.attribute(rank, |l| l.fault += d);
-                let rp = &mut self.ranks[rank];
-                rp.global.wall = end.since(SimTime::ZERO).as_secs_f64();
-                rp.last_event = end;
-            }
-            ProfEvent::Restart { start, end } => {
-                // The job died: whatever sections were open were aborted,
-                // never exited. Their partial wallclock is dropped (the rank
-                // will re-enter them as it replays) and the kill-to-relaunch
-                // gap lands in the global FAULT/RESTART ledger only.
-                let d = end.since(start).as_secs_f64();
-                let rp = &mut self.ranks[rank];
-                rp.stack.clear();
-                rp.global.fault += d;
-                rp.global.wall = end.since(SimTime::ZERO).as_secs_f64();
-                rp.last_event = end;
-            }
+            // The job died: whatever sections were open were aborted, never
+            // exited. Their partial wallclock is dropped (the rank will
+            // re-enter them as it replays), so the kill-to-relaunch gap
+            // charged below lands in the global FAULT/RESTART ledger only.
+            ProfEvent::Restart { .. } => self.ranks[rank].stack.clear(),
             ProfEvent::Verify { start, end } => {
                 // Overlay: the span's time already arrived as barrier +
                 // compute events, so only the verify column moves.
@@ -241,6 +180,24 @@ impl ProfSink for IpmCollector {
                     }
                 });
             }
+            ProfEvent::Compute { .. }
+            | ProfEvent::Mpi { .. }
+            | ProfEvent::Io { .. }
+            | ProfEvent::Fault { .. } => {}
+        }
+        // Compute, MPI, I/O, a fault stall and a restart gap charge their
+        // column in the global ledger and the open section's, as the engine
+        // charges its totals: a stall charges the section that was live
+        // while the node hung. An MPI call also enters the call hash.
+        if let Some((column, start, end)) = ev.charge() {
+            let d = end.since(start).as_secs_f64();
+            self.attribute(rank, |l| {
+                *l.column_mut(column) += d;
+                if let ProfEvent::Mpi { kind, bytes, .. } = ev {
+                    l.add_call(kind, bytes, d);
+                }
+            });
+            self.ranks[rank].global.wall = end.since(SimTime::ZERO).as_secs_f64();
         }
     }
 }

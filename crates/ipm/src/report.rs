@@ -47,41 +47,32 @@ impl SectionReport {
     /// Percentage of region wallclock spent in MPI, averaged over ranks —
     /// the "%comm" the paper's Table II and Table III report.
     pub fn comm_pct(&self) -> f64 {
-        let wall = self.wall.mean * self.wall.n as f64;
-        if wall <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.comm.mean * self.comm.n as f64 / wall
-        }
+        self.pct_of_wall(&self.comm)
     }
 
     /// Percentage of region wallclock spent in I/O, averaged over ranks.
     pub fn io_pct(&self) -> f64 {
-        let wall = self.wall.mean * self.wall.n as f64;
-        if wall <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.io.mean * self.io.n as f64 / wall
-        }
+        self.pct_of_wall(&self.io)
     }
 
     /// Percentage of region wallclock lost to faults and restarts.
     pub fn fault_pct(&self) -> f64 {
-        let wall = self.wall.mean * self.wall.n as f64;
-        if wall <= 0.0 {
-            0.0
-        } else {
-            100.0 * self.fault.mean * self.fault.n as f64 / wall
-        }
+        self.pct_of_wall(&self.fault)
     }
 
     /// Percentage of region wallclock spent in ABFT verification cuts.
     pub fn verify_pct(&self) -> f64 {
+        self.pct_of_wall(&self.verify)
+    }
+
+    /// `part`'s rank total as a percentage of the ranks' total wallclock;
+    /// 0 on an empty wallclock.
+    fn pct_of_wall(&self, part: &Summary) -> f64 {
         let wall = self.wall.mean * self.wall.n as f64;
         if wall <= 0.0 {
             0.0
         } else {
-            100.0 * self.verify.mean * self.verify.n as f64 / wall
+            100.0 * part.mean * part.n as f64 / wall
         }
     }
 

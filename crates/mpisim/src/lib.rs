@@ -46,7 +46,7 @@ pub use op::{
     BlockProgram, CollOp, CyclicProgram, Group, JobMeta, JobSpec, Op, OpSource, Program, Rank,
     ReqId, SectionId, Tag,
 };
-pub use prof::{IoKind, MpiKind, NullSink, ProfEvent, ProfSink};
+pub use prof::{Column, IoKind, MpiKind, NullSink, ProfEvent, ProfSink};
 pub use result::{RankTotals, SimResult};
 
 #[cfg(test)]

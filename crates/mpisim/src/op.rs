@@ -20,6 +20,8 @@
 //! (name, rank count, section table) now lives in [`JobMeta`], which the
 //! profiling layers consume without ever touching the op streams.
 
+use crate::prof::MpiKind;
+
 /// Rank index within the job.
 pub type Rank = u32;
 
@@ -188,18 +190,23 @@ pub enum CollOp {
 }
 
 impl CollOp {
+    /// The MPI call this collective is profiled as.
+    pub fn kind(&self) -> MpiKind {
+        match self {
+            CollOp::Barrier => MpiKind::Barrier,
+            CollOp::Bcast { .. } => MpiKind::Bcast,
+            CollOp::Reduce { .. } => MpiKind::Reduce,
+            CollOp::Allreduce { .. } => MpiKind::Allreduce,
+            CollOp::Allgather { .. } => MpiKind::Allgather,
+            CollOp::Alltoall { .. } => MpiKind::Alltoall,
+            CollOp::Gather { .. } => MpiKind::Gather,
+            CollOp::Scatter { .. } => MpiKind::Scatter,
+        }
+    }
+
     /// Short MPI-style name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            CollOp::Barrier => "MPI_Barrier",
-            CollOp::Bcast { .. } => "MPI_Bcast",
-            CollOp::Reduce { .. } => "MPI_Reduce",
-            CollOp::Allreduce { .. } => "MPI_Allreduce",
-            CollOp::Allgather { .. } => "MPI_Allgather",
-            CollOp::Alltoall { .. } => "MPI_Alltoall",
-            CollOp::Gather { .. } => "MPI_Gather",
-            CollOp::Scatter { .. } => "MPI_Scatter",
-        }
+        self.kind().name()
     }
 
     /// Bytes this collective moves per rank (used for histogram bucketing).

@@ -119,13 +119,49 @@ pub enum ProfEvent {
     },
 }
 
+/// The column of a rank's wallclock split that a timed span is charged
+/// to: IPM's compute, MPI and I/O columns, plus the fault ledger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    Comp,
+    Comm,
+    Io,
+    Fault,
+}
+
+impl ProfEvent {
+    /// The column this event charges and the span it charges there:
+    /// compute to comp, MPI to comm, I/O to io, a fault stall or a restart
+    /// gap to fault. `None` for the zero-width markers (sections, SDC) and
+    /// the overlays (verify, shrink), whose time other events charge.
+    ///
+    /// The engine's per-rank totals and IPM's ledgers both charge through
+    /// this one mapping, so every span lands in exactly one column and
+    /// `wall == comp + comm + io + fault` holds by construction.
+    pub fn charge(&self) -> Option<(Column, SimTime, SimTime)> {
+        match *self {
+            ProfEvent::Compute { start, end } => Some((Column::Comp, start, end)),
+            ProfEvent::Mpi { start, end, .. } => Some((Column::Comm, start, end)),
+            ProfEvent::Io { start, end, .. } => Some((Column::Io, start, end)),
+            ProfEvent::Fault { start, end } | ProfEvent::Restart { start, end } => {
+                Some((Column::Fault, start, end))
+            }
+            ProfEvent::SectionEnter { .. }
+            | ProfEvent::SectionExit { .. }
+            | ProfEvent::Verify { .. }
+            | ProfEvent::Shrink { .. }
+            | ProfEvent::Sdc { .. } => None,
+        }
+    }
+}
+
 /// Receiver of profile events.
 pub trait ProfSink {
     fn on_event(&mut self, rank: usize, ev: ProfEvent);
 
     /// Whether this sink consumes events at all. The engine checks once per
-    /// run and skips building `ProfEvent`s (timestamp conversions, section
-    /// lookups) on the hot path when the sink is a black hole.
+    /// run and, when the sink is a black hole, drops every event at its one
+    /// gate instead of making a dynamic call per event.
     fn enabled(&self) -> bool {
         true
     }

@@ -70,24 +70,12 @@ impl SimResult {
 
     /// Mean fraction of wallclock spent in MPI, in percent — IPM's "%comm".
     pub fn comm_pct(&self) -> f64 {
-        let wall: f64 = self.ranks.iter().map(|r| r.wall.as_secs_f64()).sum();
-        let comm: f64 = self.ranks.iter().map(|r| r.comm.as_secs_f64()).sum();
-        if wall <= 0.0 {
-            0.0
-        } else {
-            100.0 * comm / wall
-        }
+        self.pct_of_wall(|r| r.comm)
     }
 
     /// Mean fraction of wallclock spent in file I/O, in percent.
     pub fn io_pct(&self) -> f64 {
-        let wall: f64 = self.ranks.iter().map(|r| r.wall.as_secs_f64()).sum();
-        let io: f64 = self.ranks.iter().map(|r| r.io.as_secs_f64()).sum();
-        if wall <= 0.0 {
-            0.0
-        } else {
-            100.0 * io / wall
-        }
+        self.pct_of_wall(|r| r.io)
     }
 
     /// Total I/O seconds on the slowest-I/O rank (Table III's "I/O (s)").
@@ -149,12 +137,18 @@ impl SimResult {
 
     /// Mean fraction of wallclock lost to faults and restarts, in percent.
     pub fn fault_pct(&self) -> f64 {
+        self.pct_of_wall(|r| r.fault)
+    }
+
+    /// `part` summed over ranks as a percentage of their summed wallclock,
+    /// both summed in rank order; 0 on an empty wallclock.
+    fn pct_of_wall(&self, part: impl Fn(&RankTotals) -> SimDur) -> f64 {
         let wall: f64 = self.ranks.iter().map(|r| r.wall.as_secs_f64()).sum();
-        let fault: f64 = self.ranks.iter().map(|r| r.fault.as_secs_f64()).sum();
+        let part: f64 = self.ranks.iter().map(|r| part(r).as_secs_f64()).sum();
         if wall <= 0.0 {
             0.0
         } else {
-            100.0 * fault / wall
+            100.0 * part / wall
         }
     }
 }

@@ -288,26 +288,74 @@ fn streamed_programs_rewind_to_identical_traces() {
 }
 
 /// Profiling must be observation-only: running with a collecting IPM sink
-/// and with `NullSink` (which lets the engine skip building `ProfEvent`s
-/// entirely) must produce identical simulation results.
+/// and with `NullSink` (whose events the engine drops at its one gate)
+/// must produce identical simulation results. The faulted runs cover the
+/// recovery paths' events too: crash stalls, checkpoint writes and
+/// restore reads, verification cuts, SDC verdicts, restarts and shrinks.
 #[test]
 fn profiling_does_not_perturb_results() {
+    let same = |job: &mut JobSpec, c: &ClusterSpec, cfg: &SimConfig| {
+        let bare = run_job(job, c, cfg, &mut NullSink).unwrap();
+        let (profiled, report) = profile_run(job, c, cfg).unwrap();
+        assert_eq!(bare, profiled, "{} on {}", job.meta.name, c.name);
+        (bare, report)
+    };
     let workloads: Vec<Box<dyn Workload>> = vec![
         Box::new(Npb::new(Kernel::Cg, Class::S)),
         Box::new(MetUm { timesteps: 2 }),
     ];
     for w in &workloads {
         for c in [presets::vayu(), presets::dcc()] {
-            let mut job = w.build(16);
-            let cfg = SimConfig::default();
-            let bare = run_job(&mut job, &c, &cfg, &mut NullSink).unwrap();
-            let (profiled, _report) = profile_run(&mut job, &c, &cfg).unwrap();
-            assert_eq!(bare.elapsed, profiled.elapsed, "{} on {}", w.name(), c.name);
-            assert_eq!(bare.ops_executed, profiled.ops_executed);
-            for (x, y) in bare.ranks.iter().zip(&profiled.ranks) {
-                assert_eq!(x, y, "{} on {}", w.name(), c.name);
-            }
+            same(&mut w.build(16), &c, &SimConfig::default());
         }
+    }
+    // Checkpointed, verified CG at the faulted golden rows' crash and
+    // preemption rates, with two corruptions per node-second, at which
+    // each strategy recovers at least once.
+    let cg = Npb::new(Kernel::Cg, Class::S);
+    let vw = Verified::new(&cg, VerifyPolicy::new(2, 1e6, 1 << 20));
+    let mut job = Checkpointed::new(&vw, CheckpointPolicy::new(5, 1 << 20)).build(16);
+    let c = presets::vayu();
+    let preset = FaultSpec::preset_for(&c);
+    for recovery in [
+        RecoveryStrategy::Restart,
+        RecoveryStrategy::AbftRollback,
+        RecoveryStrategy::ShrinkSpare {
+            spares: 4,
+            respawn_delay_secs: 0.05,
+        },
+    ] {
+        let spec = FaultSpec {
+            model: preset
+                .model
+                .clone()
+                .with_rates_scaled(3600.0 * 500.0)
+                .with_sdc(3600.0 * 2.0, 1.0),
+            horizon_secs: 30.0,
+            restart_delay_secs: 2.0,
+            recovery,
+            retry: RetryPolicy {
+                timeout_secs: 1.0,
+                backoff: 2.0,
+                max_retries: 500,
+                max_delay_secs: 3600.0,
+            },
+            ..preset.clone()
+        };
+        let cfg = SimConfig {
+            faults: Some(spec),
+            ..Default::default()
+        };
+        let (r, report) = same(&mut job, &c, &cfg);
+        let recoveries = match recovery {
+            RecoveryStrategy::Restart => r.restarts,
+            RecoveryStrategy::AbftRollback => r.rollbacks,
+            RecoveryStrategy::ShrinkSpare { .. } => r.shrinks,
+        };
+        assert!(recoveries >= 1, "{recovery:?}: {r:?}");
+        assert!(r.sdc_detected >= 1, "{recovery:?}: {r:?}");
+        assert!(report.global.fault.max > 0.0, "{recovery:?}: {r:?}");
+        assert!(report.global.verify.max > 0.0, "{recovery:?}: {r:?}");
     }
 }
 
